@@ -93,6 +93,12 @@ class Rng {
   /// its next access offset with one call.
   std::uint64_t geometric_gap(double p) noexcept;
 
+  /// The same draw with ln(1 - p) supplied by the caller, who must pass
+  /// exactly std::log1p(-p): a protocol whose p changes only on feedback
+  /// caches the log instead of recomputing it for every gap. Bit-identical
+  /// to geometric_gap(p) under that precondition.
+  std::uint64_t geometric_gap(double p, double log1m_p) noexcept;
+
   /// Poisson sample (Knuth for small mean, normal approximation for large).
   std::uint64_t poisson(double mean) noexcept;
 

@@ -15,7 +15,12 @@ void Table::add_row(std::vector<std::string> cells) {
 
 std::string Table::num(double v, int precision) {
   std::ostringstream out;
-  if (v != 0.0 && (std::fabs(v) >= 1e7 || std::fabs(v) < 1e-4)) {
+  if (precision <= 0) {
+    // A counted quantity: fixed-point, no decimals (precision 0 in the
+    // default float format would mean one significant digit).
+    out.setf(std::ios::fixed, std::ios::floatfield);
+    out.precision(0);
+  } else if (v != 0.0 && (std::fabs(v) >= 1e7 || std::fabs(v) < 1e-4)) {
     out.setf(std::ios::scientific);
     out.precision(precision - 1);
   } else {

@@ -16,7 +16,8 @@ class Table {
   /// Adds one row; missing cells render empty, extras are dropped.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with `precision` significant digits.
+  /// Convenience: formats doubles with `precision` significant digits;
+  /// precision <= 0 means fixed-point with no decimals (counts, rates).
   static std::string num(double v, int precision = 4);
 
   std::size_t rows() const noexcept { return rows_.size(); }

@@ -16,7 +16,7 @@ struct BinaryExponentialParams {
   double max_window = 0.0;      ///< 0 = uncapped; >0 = Ethernet-style cap
 };
 
-class BinaryExponentialBackoff final : public Protocol {
+class BinaryExponentialBackoff final : public BuiltinProtocol<BinaryExponentialBackoff> {
  public:
   explicit BinaryExponentialBackoff(const BinaryExponentialParams& params = {});
 

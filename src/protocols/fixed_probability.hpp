@@ -8,7 +8,7 @@
 
 namespace lowsense {
 
-class FixedProbability final : public Protocol {
+class FixedProbability final : public BuiltinProtocol<FixedProbability> {
  public:
   explicit FixedProbability(double p) : p_(p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p)) {}
 

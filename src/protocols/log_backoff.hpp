@@ -15,7 +15,7 @@ struct SlowBackoffParams {
   double initial_window = 16.0;
 };
 
-class SlowBackoff final : public Protocol {
+class SlowBackoff final : public BuiltinProtocol<SlowBackoff> {
  public:
   explicit SlowBackoff(const SlowBackoffParams& params = {});
 

@@ -46,7 +46,7 @@ struct LowSensingParams {
   bool valid() const noexcept;
 };
 
-class LowSensingBackoff final : public Protocol {
+class LowSensingBackoff final : public BuiltinProtocol<LowSensingBackoff> {
  public:
   explicit LowSensingBackoff(const LowSensingParams& params = {});
 
@@ -55,28 +55,37 @@ class LowSensingBackoff final : public Protocol {
   void on_observation(const Observation& obs) override;
   double window() const noexcept override { return w_; }
   const char* name() const noexcept override { return "low-sensing"; }
+  /// The geometric gap of access_prob(), with ln(1 - p) cached.
+  std::uint64_t draw_gap(Rng& rng) const override {
+    return rng.geometric_gap(listen_prob_, log1m_listen_);
+  }
 
   const LowSensingParams& params() const noexcept { return params_; }
 
  private:
+  /// Recomputes everything derived from w_; called whenever w_ changes.
   void refresh_probs() noexcept;
   double ln_boost() const noexcept;  ///< ln^e(w), floored at 1
 
   LowSensingParams params_;
   double w_;
+  double ln_w_ = 0.0;  ///< std::log(w_)
   double listen_prob_ = 0.0;
+  double log1m_listen_ = 0.0;  ///< std::log1p(-listen_prob_)
   double send_given_listen_ = 0.0;
 };
 
 class LowSensingFactory final : public ProtocolFactory {
  public:
-  explicit LowSensingFactory(const LowSensingParams& params = {}) : params_(params) {}
+  explicit LowSensingFactory(const LowSensingParams& params = {}) : initial_(params) {}
+  /// A copy of one precomputed fresh state (w = w_min): the logs are
+  /// taken once per factory, not once per packet.
   std::unique_ptr<Protocol> create() const override;
   std::string name() const override { return "low-sensing"; }
-  const LowSensingParams& params() const noexcept { return params_; }
+  const LowSensingParams& params() const noexcept { return initial_.params(); }
 
  private:
-  LowSensingParams params_;
+  LowSensingBackoff initial_;
 };
 
 }  // namespace lowsense

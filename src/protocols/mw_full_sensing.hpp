@@ -16,7 +16,7 @@ struct MwFullSensingParams {
   double growth = 2.0;  ///< window multiplier on noise, divisor on silence
 };
 
-class MwFullSensing final : public Protocol {
+class MwFullSensing final : public BuiltinProtocol<MwFullSensing> {
  public:
   explicit MwFullSensing(const MwFullSensingParams& params = {});
 

@@ -14,7 +14,7 @@ struct PolynomialBackoffParams {
   double alpha = 2.0;  ///< window growth exponent in the collision count
 };
 
-class PolynomialBackoff final : public Protocol {
+class PolynomialBackoff final : public BuiltinProtocol<PolynomialBackoff> {
  public:
   explicit PolynomialBackoff(const PolynomialBackoffParams& params = {});
 

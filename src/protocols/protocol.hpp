@@ -3,8 +3,8 @@
 // A protocol instance is the per-packet state machine. In every slot the
 // packet either sleeps, listens, or sends (sending subsumes listening for
 // accounting purposes: a sender learns the slot outcome from whether it
-// departed). The engine drives the protocol with exactly two queries and
-// one notification:
+// departed). The protocol is described by two probabilities and one
+// notification:
 //
 //   access_prob()            P(packet accesses the channel this slot)
 //   send_prob_given_access() P(packet sends | it accesses)
@@ -14,6 +14,12 @@
 // therefore both probabilities — may change ONLY inside on_observation().
 // Between channel accesses the packet is dormant and its per-slot access
 // probability is constant, which is what allows geometric gap-skipping.
+//
+// The engine drives a packet through ONE call per access, step(), and
+// caches what it returns (window, send probabilities, next gap) in its
+// packet lanes until the packet's next access. The contract above is
+// what makes that cache sound: nothing the engine cached can change
+// before the next on_observation(), which only step() delivers.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +42,15 @@ enum class Feedback : std::uint8_t {
 struct Observation {
   Feedback feedback = Feedback::kEmpty;
   bool sent = false;  ///< whether this packet itself transmitted
+};
+
+/// What step() leaves behind: the state after the observation, which the
+/// engine caches in its packet lanes until the packet's next access.
+struct ProtocolStep {
+  double window = 0.0;
+  double send_prob = 0.0;          ///< access_prob() × send_prob_given_access()
+  double send_given_access = 0.0;  ///< send_prob_given_access()
+  std::uint64_t gap = 0;           ///< draw_gap(): slots to the next access
 };
 
 class Protocol {
@@ -68,6 +83,51 @@ class Protocol {
   /// Unconditional per-slot send probability; the engine sums these to
   /// maintain the paper's contention C(t) = Σ_u 1/w_u.
   double send_prob() const noexcept { return access_prob() * send_prob_given_access(); }
+
+  /// The per-access entry point: delivers `obs`, then reports the new
+  /// state and draws the gap to the next access, in exactly this order —
+  /// on_observation, window, access_prob × send_prob_given_access,
+  /// draw_gap. Overrides exist only to save the indirect calls and must
+  /// equal this default bit for bit (the built-ins get theirs from
+  /// BuiltinProtocol); wrappers that forward the queries one by one can
+  /// simply keep the default.
+  virtual void step(const Observation& obs, Rng& rng, ProtocolStep* out) {
+    on_observation(obs);
+    settle(rng, out);
+  }
+
+  /// The tail of step() without an observation: the current state and a
+  /// fresh gap. Injection calls this for a newly created packet.
+  void settle(Rng& rng, ProtocolStep* out) {
+    out->window = window();
+    const double access = access_prob();
+    out->send_given_access = send_prob_given_access();
+    out->send_prob = access * out->send_given_access;
+    out->gap = draw_gap(rng);
+  }
+};
+
+/// Devirtualized step() for the built-in protocols: `Derived` is a final
+/// class, and every query below is a qualified (static) call into it, so
+/// an access costs one indirect call instead of five. The sequence and
+/// every floating-point operation match Protocol::step exactly.
+template <class Derived>
+class BuiltinProtocol : public Protocol {
+ public:
+  /// The memoryless geometric gap of access_prob(), statically bound.
+  std::uint64_t draw_gap(Rng& rng) const override {
+    return rng.geometric_gap(static_cast<const Derived&>(*this).Derived::access_prob());
+  }
+
+  void step(const Observation& obs, Rng& rng, ProtocolStep* out) final {
+    Derived& d = static_cast<Derived&>(*this);
+    d.Derived::on_observation(obs);
+    out->window = d.Derived::window();
+    const double access = d.Derived::access_prob();
+    out->send_given_access = d.Derived::send_prob_given_access();
+    out->send_prob = access * out->send_given_access;
+    out->gap = d.Derived::draw_gap(rng);
+  }
 };
 
 /// Creates fresh protocol state for each arriving packet.

@@ -23,7 +23,7 @@ struct WindowedEthernetParams {
   std::uint32_t max_attempts = 0;  ///< 0 = retry forever (802.3 uses 16)
 };
 
-class WindowedEthernet final : public Protocol {
+class WindowedEthernet final : public BuiltinProtocol<WindowedEthernet> {
  public:
   explicit WindowedEthernet(const WindowedEthernetParams& params = {});
 

@@ -5,6 +5,7 @@
 #include "sim/sim_core.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <limits>
 
@@ -23,6 +24,36 @@ constexpr std::uint64_t kPacketCoinStream = 1ULL << 32;
 constexpr PacketId kNoPacket = std::numeric_limits<PacketId>::max();
 
 }  // namespace
+
+void sort_by_id(std::vector<IdSlab>& items, std::vector<IdSlab>& scratch) {
+  const std::size_t n = items.size();
+  if (n < kRadixSortMinBucket) {
+    std::sort(items.begin(), items.end());
+    return;
+  }
+  PacketId lo = items.front().first;
+  PacketId hi = lo;
+  for (const IdSlab& e : items) {
+    lo = std::min(lo, e.first);
+    hi = std::max(hi, e.first);
+  }
+  const PacketId span = hi - lo;
+  scratch.resize(n);
+  // One stable counting pass per 8-bit digit of (id - lo), low digit
+  // first, ping-ponging between the two buffers.
+  for (unsigned shift = 0; shift < 64 && (span >> shift) != 0; shift += 8) {
+    std::array<std::uint32_t, 256> pos{};
+    for (const IdSlab& e : items) ++pos[((e.first - lo) >> shift) & 0xff];
+    std::uint32_t sum = 0;
+    for (std::uint32_t& c : pos) {
+      const std::uint32_t count = c;
+      c = sum;
+      sum += count;
+    }
+    for (const IdSlab& e : items) scratch[pos[((e.first - lo) >> shift) & 0xff]++] = e;
+    items.swap(scratch);
+  }
+}
 
 SimCore::SimCore(const ProtocolFactory& factory, ArrivalProcess& arrivals, Jammer& jammer,
                  const RunConfig& config)
@@ -71,18 +102,19 @@ void SimCore::inject_arrivals_at(Slot t) {
       store.coin_key(slab) = CounterRng(config_.seed, kPacketCoinStream + id).key();
       pkt.arrival = t;
       pkt.active = true;
-      store.send_prob(slab) = pkt.proto->send_prob();
+      ProtocolStep fresh;
+      pkt.proto->settle(pkt.rng, &fresh);
+      store.cache(slab, fresh);
       // A packet injected at slot t may act in slot t itself (Fig. 1 sets
       // w_u(t) = w_min at the injection slot), so the first gap is
       // anchored at t, not t+1.
-      const std::uint64_t gap = pkt.proto->draw_gap(pkt.rng);
-      const Slot first = gap == kNoSlot ? kNoSlot : t + gap - 1;
+      const Slot first = fresh.gap == kNoSlot ? kNoSlot : t + fresh.gap - 1;
       store.next_access(slab) = first;
       if (first != kNoSlot) sh.wheel().schedule(slab, first);
-      counters_.contention += store.send_prob(slab);
+      counters_.contention += fresh.send_prob;
       ++counters_.arrivals;
       ++counters_.backlog;
-      max_window_ = std::max(max_window_, pkt.proto->window());
+      max_window_ = std::max(max_window_, fresh.window);
       pkt.active_pos = static_cast<std::uint32_t>(active_.size());
       active_.push_back(ActiveRef{id, slab});
       for (auto* obs : observers_) obs->on_arrival(t, id, *pkt.proto);
@@ -126,8 +158,9 @@ void SimCore::depart(Slot t, std::size_t shard_idx, std::uint32_t slab) {
   --counters_.backlog;
   ++counters_.successes;
   // Swap-remove from the active list in O(1) via the stored position.
+  const PacketId id = store.id(slab);
   const std::uint32_t pos = pkt.active_pos;
-  assert(pos < active_.size() && active_[pos].id == pkt.id && active_[pos].slab == slab);
+  assert(pos < active_.size() && active_[pos].id == id && active_[pos].slab == slab);
   active_[pos] = active_.back();
   const ActiveRef& moved = active_[pos];
   shards_[moved.id % shards_.size()].store().at(moved.slab).active_pos = pos;
@@ -138,12 +171,14 @@ void SimCore::depart(Slot t, std::size_t shard_idx, std::uint32_t slab) {
   // slot, so the accumulation order (departures in slot order, then the
   // survivors in ascending id at finish) is canonical: independent of
   // engine, shard count, slab placement, and reclamation.
-  access_stats_.add(static_cast<double>(pkt.accesses));
-  send_stats_.add(static_cast<double>(pkt.sends));
-  access_hist_.add(static_cast<double>(pkt.accesses));
-  max_accesses_ = std::max(max_accesses_, pkt.accesses);
+  const std::uint64_t accesses = store.accesses(slab);
+  const std::uint64_t sends = store.sends(slab);
+  access_stats_.add(static_cast<double>(accesses));
+  send_stats_.add(static_cast<double>(sends));
+  access_hist_.add(static_cast<double>(accesses));
+  max_accesses_ = std::max(max_accesses_, accesses);
   for (auto* obs : observers_) {
-    obs->on_departure(t, pkt.id, pkt.arrival, pkt.accesses, pkt.sends, pkt.proto->window());
+    obs->on_departure(t, id, pkt.arrival, accesses, sends, store.window(slab));
   }
   // The slab is released only after phase 3 — it is still referenced by
   // this slot's accessor list (which checks `active`).
@@ -209,15 +244,16 @@ void SimCore::for_each_in_id_order(GetList&& list_of, Fn&& fn) {
 // Phase 1 — parallel per shard: canonicalize the bucket (ascending
 // LOGICAL id — slab order is placement, not identity, and recycling
 // makes it non-monotone), tally accesses, and evaluate the slot-keyed
-// send coins in one batched call. Writes only shard-owned state.
+// send coins in one batched call. Reads and writes only shard-owned
+// lanes; the protocol objects are not touched.
 void SimCore::phase_send_draws(Slot t, PacketShard& shard) {
   PacketStore& store = shard.store();
   auto& acc = shard.accessors;
   const std::size_t k = acc.size();
   auto& tmp = shard.sort_tmp;
   tmp.resize(k);
-  for (std::size_t i = 0; i < k; ++i) tmp[i] = {store.at(acc[i]).id, acc[i]};
-  std::sort(tmp.begin(), tmp.end());
+  for (std::size_t i = 0; i < k; ++i) tmp[i] = {store.id(acc[i]), acc[i]};
+  sort_by_id(tmp, shard.sort_scratch);
   shard.accessor_ids.resize(k);
   for (std::size_t i = 0; i < k; ++i) {
     shard.accessor_ids[i] = tmp[i].first;
@@ -229,51 +265,49 @@ void SimCore::phase_send_draws(Slot t, PacketShard& shard) {
   shard.coin_ps.resize(k);
   shard.coin_out.resize(k);
   for (std::size_t i = 0; i < k; ++i) {
-    Packet& pkt = store.at(acc[i]);
-    assert(pkt.active);  // a reclaimed slab can never sit in the wheel
-    ++pkt.accesses;
+    assert(store.at(acc[i]).active);  // a reclaimed slab can never sit in the wheel
+    ++store.accesses(acc[i]);
     shard.coin_keys[i] = store.coin_key(acc[i]);
-    shard.coin_ps[i] = pkt.proto->send_prob_given_access();
+    shard.coin_ps[i] = store.send_given_access(acc[i]);
   }
   CounterRng::bernoulli_batch(shard.coin_keys.data(), shard.coin_ps.data(), k, t,
                               shard.coin_out.data());
   for (std::size_t i = 0; i < k; ++i) {
-    Packet& pkt = store.at(acc[i]);
-    pkt.sent = shard.coin_out[i] != 0;
-    if (pkt.sent) {
-      ++pkt.sends;
+    if (shard.coin_out[i] != 0) {
+      ++store.sends(acc[i]);
       shard.senders.push_back(acc[i]);
       shard.sender_ids.push_back(shard.accessor_ids[i]);
     }
   }
 }
 
-// Phase 3 — parallel per shard: deliver the observation to every accessor
-// that did not depart, redraw its gap, and re-register it in the shard's
-// own wheel. The cross-shard effects (contention, max window, observer
-// callbacks) are only RECORDED here, in `outcomes`, and applied by the
-// serial shard-merge in resolve_phases.
+// Phase 3 — parallel per shard: one Protocol::step per accessor that did
+// not depart (deliver the observation, read back the new state, redraw
+// the gap), cache the step in the lanes, and re-register the packet in
+// the shard's own wheel. The cross-shard effects (contention, max window,
+// observer callbacks) are only RECORDED here, in `outcomes`, and applied
+// by the serial shard-merge in resolve_phases.
 void SimCore::phase_feedback(Slot t, Feedback fb, PacketShard& shard) {
   PacketStore& store = shard.store();
   const auto& acc = shard.accessors;
   shard.outcomes.assign(acc.size(), {});
   for (std::size_t i = 0; i < acc.size(); ++i) {
-    Packet& pkt = store.at(acc[i]);
+    const std::uint32_t slab = acc[i];
+    Packet& pkt = store.at(slab);
     PacketShard::Outcome& out = shard.outcomes[i];
     if (!pkt.active) {
       out.departed = true;  // the slot's winner: no feedback, no redraw
       continue;
     }
-    out.old_window = pkt.proto->window();
-    pkt.proto->on_observation(Observation{fb, pkt.sent});
-    out.new_window = pkt.proto->window();
-    const double new_sp = pkt.proto->send_prob();
-    out.contention_delta = new_sp - store.send_prob(acc[i]);
-    store.send_prob(acc[i]) = new_sp;
-    const std::uint64_t gap = pkt.proto->draw_gap(pkt.rng);
-    const Slot next = gap == kNoSlot ? kNoSlot : t + gap;
-    store.next_access(acc[i]) = next;
-    if (next != kNoSlot) shard.wheel().schedule(acc[i], next);
+    ProtocolStep step;
+    pkt.proto->step(Observation{fb, shard.coin_out[i] != 0}, pkt.rng, &step);
+    out.old_window = store.window(slab);
+    out.new_window = step.window;
+    out.contention_delta = step.send_prob - store.send_prob(slab);
+    store.cache(slab, step);
+    const Slot next = step.gap == kNoSlot ? kNoSlot : t + step.gap;
+    store.next_access(slab) = next;
+    if (next != kNoSlot) shard.wheel().schedule(slab, next);
   }
 }
 
@@ -402,11 +436,11 @@ void SimCore::finish(RunResult* result) {
   std::sort(live.begin(), live.end(),
             [](const ActiveRef& a, const ActiveRef& b) { return a.id < b.id; });
   for (const ActiveRef& ref : live) {
-    const Packet& pkt = packet_at(ref);
-    access_stats_.add(static_cast<double>(pkt.accesses));
-    send_stats_.add(static_cast<double>(pkt.sends));
-    access_hist_.add(static_cast<double>(pkt.accesses));
-    max_accesses_ = std::max(max_accesses_, pkt.accesses);
+    const std::uint64_t accesses = store_of(ref).accesses(ref.slab);
+    access_stats_.add(static_cast<double>(accesses));
+    send_stats_.add(static_cast<double>(store_of(ref).sends(ref.slab)));
+    access_hist_.add(static_cast<double>(accesses));
+    max_accesses_ = std::max(max_accesses_, accesses);
   }
   result->counters = counters_;
   result->drained = arrivals_exhausted() && counters_.backlog == 0;

@@ -20,7 +20,9 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -28,6 +30,20 @@
 #include "sim/packet_store.hpp"
 
 namespace lowsense::detail {
+
+/// A (logical id, slab) pair — the unit phase 1 canonicalizes.
+using IdSlab = std::pair<PacketId, std::uint32_t>;
+
+/// Buckets of at least this many accessors are sorted by LSD radix,
+/// smaller ones by std::sort. The choice depends on the bucket size only.
+inline constexpr std::size_t kRadixSortMinBucket = 64;
+
+/// Sorts `items` by ascending logical id (the canonical order of phase 1).
+/// Ids must be distinct, as they are within one slot's bucket, so the
+/// result equals std::sort's. Large buckets use a stable LSD radix sort on
+/// id - min_id with 8-bit digits, as many passes as the id span needs;
+/// `scratch` is its ping-pong buffer (contents unspecified afterwards).
+void sort_by_id(std::vector<IdSlab>& items, std::vector<IdSlab>& scratch);
 
 class PacketShard {
  public:
@@ -64,10 +80,11 @@ class PacketShard {
   std::vector<std::uint32_t> senders;    ///< transmitting subset (slabs, same order)
   std::vector<PacketId> sender_ids;      ///< logical ids, aligned with senders
   std::vector<Outcome> outcomes;         ///< aligned with `accessors`
-  std::vector<std::pair<PacketId, std::uint32_t>> sort_tmp;  ///< canonicalize scratch
+  std::vector<IdSlab> sort_tmp;          ///< canonicalize scratch
+  std::vector<IdSlab> sort_scratch;      ///< sort_by_id's second buffer
   std::vector<std::uint64_t> coin_keys;  ///< batched send-draw inputs
   std::vector<double> coin_ps;
-  std::vector<std::uint8_t> coin_out;
+  std::vector<std::uint8_t> coin_out;  ///< sent this slot? aligned with `accessors`
 
  private:
   std::uint32_t index_;

@@ -24,11 +24,14 @@
 // same run with reclamation off (and to the pre-slab dense layout) on
 // any finite scenario — which bench_t14's hard cross-check enforces.
 //
-// LAYOUT. The hot per-slot lanes the resolve phases stream over —
-// slot-keyed coin keys, cached send probabilities, next-access slots —
-// live in separate parallel arrays (structure-of-arrays) so the batched
-// coin evaluation reads contiguous memory; the cold remainder (protocol
-// state, gap stream, arrival bookkeeping) stays in the per-slab record.
+// LAYOUT. The hot per-access lanes — logical id, slot-keyed coin key,
+// the cached protocol outputs (window, send probability, send probability
+// given access), next-access slot, and the access/send tallies — live in
+// separate parallel arrays (structure-of-arrays), each stored once. Phase
+// 1 (sort, coins, tallies), the shard merge, injection and departure read
+// only these lanes and never call into the protocol object; the cold
+// remainder (protocol state, gap stream, arrival bookkeeping) stays in the
+// per-slab record and is touched once per access, by the feedback phase.
 #pragma once
 
 #include <cassert>
@@ -46,14 +49,10 @@ namespace lowsense::detail {
 struct Packet {
   std::unique_ptr<Protocol> proto;
   Rng rng{0};  ///< per-packet stream: gap draws (geometric / windowed)
-  PacketId id = 0;  ///< logical id; unique per logical packet, never recycled
   Slot arrival = 0;
-  std::uint64_t accesses = 0;
-  std::uint64_t sends = 0;
   std::uint32_t generation = 0;  ///< slab reuse count (0 = first tenant)
   std::uint32_t active_pos = 0;  ///< index into SimCore's active-ref list
   bool active = false;
-  bool sent = false;  ///< scratch: did it transmit in the slot being resolved?
 };
 
 /// A (logical id, slab) handle to a LIVE packet. The shard is implied by
@@ -68,8 +67,8 @@ class PacketStore {
  public:
   /// Slab for a NEW logical packet: pops the free list when reclamation
   /// has returned one (bumping its generation), grows the arrays
-  /// otherwise. The record comes back zeroed except for `id` and
-  /// `generation`; the hot lanes are reset to their empty values.
+  /// otherwise. The record comes back zeroed except for `generation`; the
+  /// id lane holds `id` and the other hot lanes their empty values.
   std::uint32_t acquire(PacketId id) {
     std::uint32_t slab;
     if (!free_.empty()) {
@@ -83,22 +82,31 @@ class PacketStore {
     } else {
       slab = static_cast<std::uint32_t>(recs_.size());
       recs_.emplace_back();
-      coin_key_.push_back(0);
-      send_prob_.push_back(0.0);
-      next_access_.push_back(kNoSlot);
+      id_.emplace_back();
+      coin_key_.emplace_back();
+      window_.emplace_back();
+      send_prob_.emplace_back();
+      send_given_access_.emplace_back();
+      next_access_.emplace_back();
+      accesses_.emplace_back();
+      sends_.emplace_back();
     }
-    recs_[slab].id = id;
+    id_[slab] = id;
     coin_key_[slab] = 0;
+    window_[slab] = 0.0;
     send_prob_[slab] = 0.0;
+    send_given_access_[slab] = 0.0;
     next_access_[slab] = kNoSlot;
+    accesses_[slab] = 0;
+    sends_[slab] = 0;
     ++live_;
     if (live_ > peak_live_) peak_live_ = live_;
     return slab;
   }
 
   /// Returns a departed packet's slab to the free list and releases its
-  /// heavy state (the protocol instance). The record keeps its id and
-  /// generation until the slab is re-acquired, so late readers can still
+  /// heavy state (the protocol instance). The slab keeps its id and
+  /// generation until it is re-acquired, so late readers can still
   /// see `active == false` and stale-handle assertions stay meaningful.
   void release(std::uint32_t slab) {
     assert(slab < recs_.size() && !recs_[slab].active);
@@ -117,12 +125,29 @@ class PacketStore {
     return recs_[slab];
   }
 
-  // Hot SoA lanes, aligned with the slab index.
+  // Hot SoA lanes, aligned with the slab index. window, send_prob and
+  // send_given_access cache the protocol's outputs as of its last step().
+  PacketId id(std::uint32_t slab) const noexcept { return id_[slab]; }
   std::uint64_t& coin_key(std::uint32_t slab) noexcept { return coin_key_[slab]; }
-  double& send_prob(std::uint32_t slab) noexcept { return send_prob_[slab]; }
+  double window(std::uint32_t slab) const noexcept { return window_[slab]; }
   double send_prob(std::uint32_t slab) const noexcept { return send_prob_[slab]; }
+  double send_given_access(std::uint32_t slab) const noexcept {
+    return send_given_access_[slab];
+  }
   Slot& next_access(std::uint32_t slab) noexcept { return next_access_[slab]; }
   Slot next_access(std::uint32_t slab) const noexcept { return next_access_[slab]; }
+  std::uint64_t& accesses(std::uint32_t slab) noexcept { return accesses_[slab]; }
+  std::uint64_t accesses(std::uint32_t slab) const noexcept { return accesses_[slab]; }
+  std::uint64_t& sends(std::uint32_t slab) noexcept { return sends_[slab]; }
+  std::uint64_t sends(std::uint32_t slab) const noexcept { return sends_[slab]; }
+
+  /// Caches a protocol step's outputs in the lanes (window and both send
+  /// probabilities; the gap is the caller's to schedule).
+  void cache(std::uint32_t slab, const ProtocolStep& step) noexcept {
+    window_[slab] = step.window;
+    send_prob_[slab] = step.send_prob;
+    send_given_access_[slab] = step.send_given_access;
+  }
 
   /// Slabs ever allocated. With reclamation on this tracks the shard's
   /// PEAK live population; without it, the shard's share of all arrivals.
@@ -135,10 +160,15 @@ class PacketStore {
 
  private:
   std::vector<Packet> recs_;
-  std::vector<std::uint64_t> coin_key_;  ///< CounterRng::key() per slab
-  std::vector<double> send_prob_;        ///< cached contribution to C(t)
-  std::vector<Slot> next_access_;        ///< absolute slot of the next access
-  std::vector<std::uint32_t> free_;      ///< reclaimed slabs (LIFO)
+  std::vector<PacketId> id_;               ///< logical id (never recycled)
+  std::vector<std::uint64_t> coin_key_;    ///< CounterRng::key() per slab
+  std::vector<double> window_;             ///< protocol window()
+  std::vector<double> send_prob_;          ///< cached contribution to C(t)
+  std::vector<double> send_given_access_;  ///< the phase-1 send-coin bias
+  std::vector<Slot> next_access_;          ///< absolute slot of the next access
+  std::vector<std::uint64_t> accesses_;    ///< channel accesses so far
+  std::vector<std::uint64_t> sends_;       ///< transmissions so far
+  std::vector<std::uint32_t> free_;        ///< reclaimed slabs (LIFO)
   std::uint64_t live_ = 0;
   std::uint64_t peak_live_ = 0;
   std::uint64_t recycled_ = 0;

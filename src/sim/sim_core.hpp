@@ -25,10 +25,12 @@
 //                    coins, tally accesses.
 //   2. arbitration — serial: merge senders in ascending-id order, consult
 //                    the jammer, decide the outcome, depart the winner.
-//   3. feedback    — parallel per shard: deliver the observation, redraw
-//                    each accessor's gap, re-register it in the shard's
-//                    wheel; then a serial shard-merge applies contention
-//                    deltas and fires observers in ascending-id order.
+//   3. feedback    — parallel per shard: one Protocol::step per accessor
+//                    (observation in, new window / send probabilities /
+//                    gap out, cached in the lanes), re-register it in the
+//                    shard's wheel; then a serial shard-merge applies
+//                    contention deltas and fires observers in
+//                    ascending-id order.
 //
 // Determinism invariant: every cross-packet effect (the sender list, the
 // floating-point contention accumulation, observer callbacks, the
@@ -95,11 +97,15 @@ class SimCore {
   SystemView view() const noexcept;
   /// Handles of every in-system packet (unordered; swap-removed).
   const std::vector<ActiveRef>& active() const noexcept { return active_; }
+  /// The store holding a live packet (its shard's).
+  const PacketStore& store_of(const ActiveRef& ref) const noexcept {
+    return shards_[ref.id % shards_.size()].store();
+  }
   const Packet& packet_at(const ActiveRef& ref) const noexcept {
-    return shards_[ref.id % shards_.size()].store().at(ref.slab);
+    return store_of(ref).at(ref.slab);
   }
   Slot next_access_at(const ActiveRef& ref) const noexcept {
-    return shards_[ref.id % shards_.size()].store().next_access(ref.slab);
+    return store_of(ref).next_access(ref.slab);
   }
   bool arrivals_exhausted() const noexcept { return arrivals_done_ && !pending_; }
 
@@ -121,8 +127,9 @@ class SimCore {
     return shards_.front().wheel();
   }
 
-  /// O(n_active) recomputation of contention; tests compare it against the
-  /// incrementally maintained value to bound floating-point drift.
+  /// O(n_active) recomputation of contention from the protocol objects
+  /// (not the cached lanes); tests compare it against the incrementally
+  /// maintained value to bound floating-point drift.
   double recompute_contention() const;
 
   void finish(RunResult* result);

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <vector>
@@ -166,6 +167,26 @@ TEST(GeometricGap, TinyProbabilityDoesNotOverflow) {
   for (int i = 0; i < 100; ++i) {
     const std::uint64_t g = rng.geometric_gap(1e-12);
     ASSERT_GE(g, 1u);
+  }
+}
+
+TEST(GeometricGap, CachedLogOverloadIsBitIdentical) {
+  // geometric_gap(p, log1p(-p)) is the one-argument draw with the log
+  // hoisted out; same seed, same draws, same gaps — including the edge
+  // probabilities that short-circuit before the log.
+  const double ps[] = {0.0,
+                       std::numeric_limits<double>::denorm_min(),
+                       1e-12,
+                       0.5,
+                       1.0 - std::numeric_limits<double>::epsilon(),
+                       1.0};
+  for (const double p : ps) {
+    Rng a(31);
+    Rng b(31);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(a.geometric_gap(p, std::log1p(-p)), b.geometric_gap(p)) << "p=" << p;
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "p=" << p;  // same draws consumed
   }
 }
 

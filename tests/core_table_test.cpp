@@ -20,6 +20,15 @@ TEST(Table, RendersHeadersAndRows) {
   EXPECT_EQ(t.rows(), 2u);
 }
 
+TEST(Table, NumWithZeroPrecisionPrintsWholeNumber) {
+  // Precision <= 0 is fixed-point without decimals, not one significant
+  // digit ("2e+04").
+  EXPECT_EQ(Table::num(23456.0, 0), "23456");
+  EXPECT_EQ(Table::num(4321.0, -1), "4321");
+  EXPECT_EQ(Table::num(2.5e7, 0), "25000000");
+  EXPECT_EQ(Table::num(0.0, 0), "0");
+}
+
 TEST(Table, PadsShortRows) {
   Table t({"a", "b", "c"});
   t.add_row({"1"});

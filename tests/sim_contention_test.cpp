@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "adversary/arrivals.hpp"
 #include "adversary/jammer.hpp"
 #include "protocols/low_sensing.hpp"
+#include "protocols/registry.hpp"
 #include "sim/event_engine.hpp"
 #include "sim/slot_engine.hpp"
 
@@ -43,17 +47,35 @@ TEST(Contention, BatchInitialContentionIsNOverWmin) {
   EXPECT_GE(probe.first_contention, 64.0 / w_min * 0.4);
 }
 
+/// Per-slot cross-check of the engine's cached state against the protocol
+/// objects: the incremental contention against an O(n) recompute, and
+/// every live packet's window / send_prob / send_given_access lanes
+/// against its protocol's virtual queries (which must match exactly).
+struct CrossCheck final : Observer {
+  const detail::SimCore* core = nullptr;
+  double worst = 0.0;
+  std::uint64_t lanes_checked = 0;
+  std::uint64_t lane_mismatches = 0;
+  void on_slot(const SlotInfo&, const Counters& c) override {
+    const double truth = core->recompute_contention();
+    worst = std::max(worst, std::fabs(truth - c.contention));
+    for (const detail::ActiveRef& ref : core->active()) {
+      const detail::PacketStore& store = core->store_of(ref);
+      const Protocol& proto = *core->packet_at(ref).proto;
+      ++lanes_checked;
+      if (store.window(ref.slab) != proto.window() ||
+          store.send_prob(ref.slab) != proto.send_prob() ||
+          store.send_given_access(ref.slab) != proto.send_prob_given_access()) {
+        ++lane_mismatches;
+      }
+    }
+  }
+};
+
 TEST(Contention, IncrementalMatchesRecomputeThroughoutRun) {
   // Drive the slot engine manually via an observer that cross-checks the
   // incremental contention against an O(n) recompute every slot.
-  struct CrossCheck final : Observer {
-    const detail::SimCore* core = nullptr;
-    double worst = 0.0;
-    void on_slot(const SlotInfo&, const Counters& c) override {
-      const double truth = core->recompute_contention();
-      worst = std::max(worst, std::fabs(truth - c.contention));
-    }
-  } check;
+  CrossCheck check;
 
   LowSensingFactory factory;
   BatchArrivals arrivals(100);
@@ -66,6 +88,117 @@ TEST(Contention, IncrementalMatchesRecomputeThroughoutRun) {
   const RunResult r = engine.run();
   EXPECT_TRUE(r.drained);
   EXPECT_LT(check.worst, 1e-9);
+}
+
+template <typename Engine>
+void expect_lanes_coherent(const std::string& protocol, unsigned shards) {
+  SCOPED_TRACE(protocol + " shards=" + std::to_string(shards));
+  const auto factory = make_protocol(protocol);
+  ASSERT_NE(factory, nullptr);
+  BatchArrivals arrivals(300);  // heavy enough that shards=4 forks
+  RandomJammer jammer(0.1, 0, CounterRng(7));
+  RunConfig cfg;
+  cfg.seed = 31;
+  cfg.shards = shards;
+  cfg.max_active_slots = 4000;
+  Engine engine(*factory, arrivals, jammer, cfg);
+  CrossCheck check;
+  check.core = &engine.core();
+  engine.add_observer(&check);
+  engine.run();
+  EXPECT_GT(check.lanes_checked, 0u);
+  EXPECT_EQ(check.lane_mismatches, 0u);
+  EXPECT_LT(check.worst, 1e-9);
+}
+
+TEST(Contention, LanesMatchProtocolObjectsOnBothEnginesAndShardCounts) {
+  // The engine caches each packet's window and send probabilities in its
+  // PacketStore lanes and never asks the protocol object between
+  // accesses; the cache must equal the object exactly, every slot.
+  for (const char* protocol : {"low-sensing", "mw-full-sensing", "windowed-ethernet"}) {
+    for (unsigned shards : {1u, 4u}) {
+      expect_lanes_coherent<SlotEngine>(protocol, shards);
+      expect_lanes_coherent<EventEngine>(protocol, shards);
+    }
+  }
+}
+
+/// Forwards every query to an inner protocol and keeps Protocol's default
+/// step() — the shape of a third-party wrapper such as a tracing layer.
+class Forwarding final : public Protocol {
+ public:
+  explicit Forwarding(std::unique_ptr<Protocol> inner) : inner_(std::move(inner)) {}
+  double access_prob() const noexcept override { return inner_->access_prob(); }
+  double send_prob_given_access() const noexcept override {
+    return inner_->send_prob_given_access();
+  }
+  void on_observation(const Observation& obs) override { inner_->on_observation(obs); }
+  double window() const noexcept override { return inner_->window(); }
+  const char* name() const noexcept override { return inner_->name(); }
+  std::uint64_t draw_gap(Rng& rng) const override { return inner_->draw_gap(rng); }
+
+ private:
+  std::unique_ptr<Protocol> inner_;
+};
+
+class ForwardingFactory final : public ProtocolFactory {
+ public:
+  explicit ForwardingFactory(const ProtocolFactory& inner) : inner_(inner) {}
+  std::unique_ptr<Protocol> create() const override {
+    return std::make_unique<Forwarding>(inner_.create());
+  }
+  std::string name() const override { return inner_.name(); }
+
+ private:
+  const ProtocolFactory& inner_;
+};
+
+/// Everything a run lets an observer see, slot by slot.
+struct RunTrace final : Observer {
+  std::vector<std::tuple<Slot, std::uint32_t, std::uint32_t, bool, double>> slots;
+  std::vector<std::tuple<Slot, PacketId, std::uint64_t, std::uint64_t, double>> departures;
+  std::vector<std::tuple<Slot, PacketId, double, double>> windows;
+  void on_slot(const SlotInfo& info, const Counters& c) override {
+    slots.emplace_back(info.slot, info.accessors, info.senders, info.jammed, c.contention);
+  }
+  void on_departure(Slot slot, PacketId id, Slot, std::uint64_t accesses, std::uint64_t sends,
+                    double w) override {
+    departures.emplace_back(slot, id, accesses, sends, w);
+  }
+  void on_window_change(Slot slot, PacketId id, double old_w, double new_w) override {
+    windows.emplace_back(slot, id, old_w, new_w);
+  }
+};
+
+TEST(Contention, WrapperWithDefaultStepEqualsUnwrappedRun) {
+  // A wrapper that does not override step() goes through the default
+  // sequence of virtual calls; the run must not move a bit.
+  for (const char* protocol : {"low-sensing", "windowed-ethernet"}) {
+    SCOPED_TRACE(protocol);
+    const auto inner = make_protocol(protocol);
+    const ForwardingFactory wrapped(*inner);
+    RunTrace traces[2];
+    RunResult results[2];
+    const ProtocolFactory* factories[2] = {inner.get(), &wrapped};
+    for (int i = 0; i < 2; ++i) {
+      BatchArrivals arrivals(400);
+      RandomJammer jammer(0.2, 0, CounterRng(11));
+      RunConfig cfg;
+      cfg.seed = 37;
+      cfg.max_active_slots = 20000;
+      EventEngine engine(*factories[i], arrivals, jammer, cfg);
+      engine.add_observer(&traces[i]);
+      results[i] = engine.run();
+    }
+    EXPECT_EQ(traces[0].slots, traces[1].slots);
+    EXPECT_EQ(traces[0].departures, traces[1].departures);
+    EXPECT_EQ(traces[0].windows, traces[1].windows);
+    EXPECT_GT(traces[0].departures.size(), 0u);
+    EXPECT_EQ(results[0].counters.contention, results[1].counters.contention);
+    EXPECT_EQ(results[0].max_window_seen, results[1].max_window_seen);
+    EXPECT_EQ(results[0].access_stats.sum(), results[1].access_stats.sum());
+    EXPECT_EQ(results[0].send_stats.sum(), results[1].send_stats.sum());
+  }
 }
 
 TEST(Contention, EqualsSumOfInverseWindows) {

@@ -56,8 +56,8 @@ TEST(PacketStore, RecyclesReleasedSlabsLifoWithoutGrowing) {
   EXPECT_EQ(store.recycled(), 2u);
   EXPECT_EQ(store.live(), 3u);
   EXPECT_EQ(store.peak_live(), 3u);
-  EXPECT_EQ(store.at(0).id, 7u);
-  EXPECT_EQ(store.at(1).id, 8u);
+  EXPECT_EQ(store.id(0), 7u);
+  EXPECT_EQ(store.id(1), 8u);
 }
 
 TEST(PacketStore, ReuseBumpsGenerationAndZeroesTheRecord) {
@@ -66,32 +66,32 @@ TEST(PacketStore, ReuseBumpsGenerationAndZeroesTheRecord) {
   Packet& pkt = store.at(slab);
   EXPECT_EQ(pkt.generation, 0u);
   pkt.arrival = 42;
-  pkt.accesses = 9;
-  pkt.sends = 4;
-  pkt.sent = true;
+  store.accesses(slab) = 9;
+  store.sends(slab) = 4;
   store.coin_key(slab) = 0xdeadbeef;
-  store.send_prob(slab) = 0.25;
+  store.cache(slab, ProtocolStep{64.0, 0.25, 0.5, 0});
   store.next_access(slab) = 1234;
   store.release(slab);
 
   // The departed record keeps its id (and generation) until re-acquired,
   // so late readers can still tell who used to live there.
-  EXPECT_EQ(store.at(slab).id, 3u);
+  EXPECT_EQ(store.id(slab), 3u);
   EXPECT_FALSE(store.at(slab).active);
 
   ASSERT_EQ(store.acquire(17), slab);
   const Packet& fresh = store.at(slab);
-  EXPECT_EQ(fresh.id, 17u);
+  EXPECT_EQ(store.id(slab), 17u);
   EXPECT_EQ(fresh.generation, 1u);  // reuse is detectable
   EXPECT_EQ(fresh.proto, nullptr);  // heavy state was released
   EXPECT_EQ(fresh.arrival, 0u);
-  EXPECT_EQ(fresh.accesses, 0u);
-  EXPECT_EQ(fresh.sends, 0u);
-  EXPECT_FALSE(fresh.sent);
   // Hot SoA lanes are back at their empty values: nothing of the departed
   // tenant (in particular not its coin key) can leak into the new one.
+  EXPECT_EQ(store.accesses(slab), 0u);
+  EXPECT_EQ(store.sends(slab), 0u);
   EXPECT_EQ(store.coin_key(slab), 0u);
+  EXPECT_EQ(store.window(slab), 0.0);
   EXPECT_EQ(store.send_prob(slab), 0.0);
+  EXPECT_EQ(store.send_given_access(slab), 0.0);
   EXPECT_EQ(store.next_access(slab), kNoSlot);
 }
 

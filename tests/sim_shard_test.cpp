@@ -52,8 +52,7 @@ TEST(PacketShard, AcquireAndLookupRoundTrip) {
   }
   EXPECT_EQ(shard.store().live(), 4u);
   for (std::size_t i = 0; i < slabs.size(); ++i) {
-    const detail::Packet& pkt = shard.store().at(slabs[i]);
-    EXPECT_EQ(pkt.arrival, pkt.id);
+    EXPECT_EQ(shard.store().at(slabs[i]).arrival, shard.store().id(slabs[i]));
   }
 }
 
