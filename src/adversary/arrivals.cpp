@@ -27,7 +27,13 @@ std::optional<ArrivalBurst> ScheduleArrivals::next() {
 }
 
 PoissonArrivals::PoissonArrivals(double rate, std::uint64_t max_packets, Rng rng)
-    : rate_(rate), unbounded_(max_packets == 0), remaining_(max_packets), rng_(rng) {
+    : rate_(rate),
+      p_nonempty_(-std::expm1(-rate)),
+      log1m_p_(std::log1p(-p_nonempty_)),
+      exp_neg_rate_(std::exp(-rate)),
+      unbounded_(max_packets == 0),
+      remaining_(max_packets),
+      rng_(rng) {
   if (!(rate > 0.0)) throw std::invalid_argument("PoissonArrivals: rate must be positive");
 }
 
@@ -35,15 +41,14 @@ std::optional<ArrivalBurst> PoissonArrivals::next() {
   if (!unbounded_ && remaining_ == 0) return std::nullopt;
   // Slot-level Poisson process: geometric-ish gap to the next nonempty
   // slot, then a conditioned-nonzero Poisson count in that slot.
-  const double p_nonempty = -std::expm1(-rate_);  // P(Poisson(rate) > 0)
-  const std::uint64_t gap = rng_.geometric_gap(p_nonempty);
+  const std::uint64_t gap = rng_.geometric_gap(p_nonempty_, log1m_p_);
   const Slot slot = first_ ? cur_ + gap - 1 : cur_ + gap;
   first_ = false;
   cur_ = slot;
-  // Rejection-sample a strictly positive count.
+  // Rejection-sample a strictly positive count (see COST in the header).
   std::uint64_t count = 0;
   do {
-    count = rng_.poisson(rate_);
+    count = rng_.poisson(rate_, exp_neg_rate_);
   } while (count == 0);
   if (!unbounded_) {
     count = std::min<std::uint64_t>(count, remaining_);

@@ -68,7 +68,16 @@ class ScheduleArrivals final : public ArrivalProcess {
 
 /// Poisson arrivals at `rate` packets/slot (iid per slot), optionally
 /// truncated after `max_packets` (0 = unbounded stream). Generated
-/// lazily via exponential gaps.
+/// lazily: a geometric gap to the next nonempty slot, then a Poisson
+/// count conditioned on being nonzero.
+///
+/// COST. The nonzero count is drawn by rejection: Poisson(rate) draws
+/// until one is positive, about 1 / (1 - e^-rate) ≈ 1/rate draws per
+/// burst, each at least one uniform. That is ~20 draws at rate 0.05, but
+/// the first burst at rate 1e-7 takes ~0.03 s and rate 1e-12 does not
+/// finish in minutes. A direct draw from the zero-truncated distribution
+/// would be O(1), but it changes the stream (and every pinned digest of
+/// a Poisson workload), so it is left for a change that re-pins them.
 class PoissonArrivals final : public ArrivalProcess {
  public:
   PoissonArrivals(double rate, std::uint64_t max_packets, Rng rng);
@@ -77,6 +86,11 @@ class PoissonArrivals final : public ArrivalProcess {
 
  private:
   double rate_;
+  // Per-burst constants of `rate_`, computed once with the exact
+  // expressions the draws would otherwise evaluate every time.
+  double p_nonempty_;    ///< -expm1(-rate): P(Poisson(rate) > 0)
+  double log1m_p_;       ///< log1p(-p_nonempty_), for geometric_gap
+  double exp_neg_rate_;  ///< exp(-rate), for poisson
   bool unbounded_;
   std::uint64_t remaining_;
   Rng rng_;

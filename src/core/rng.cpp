@@ -37,10 +37,16 @@ std::uint64_t Rng::geometric_gap(double p, double log1m_p) noexcept {
 }
 
 std::uint64_t Rng::poisson(double mean) noexcept {
+  // Same branches as below, so only the product method pays for the exp.
+  if (mean <= 0.0 || mean >= 32.0) return poisson(mean, 0.0);
+  return poisson(mean, std::exp(-mean));
+}
+
+std::uint64_t Rng::poisson(double mean, double exp_neg_mean) noexcept {
   if (mean <= 0.0) return 0;
   if (mean < 32.0) {
     // Knuth's product method.
-    const double l = std::exp(-mean);
+    const double l = exp_neg_mean;
     std::uint64_t k = 0;
     double prod = next_double_pos();
     while (prod > l) {
@@ -78,19 +84,23 @@ std::uint64_t CounterRng::count_bernoulli_span(std::uint64_t lo, std::uint64_t h
                                                std::uint64_t cap,
                                                std::uint64_t lane) const noexcept {
   if (hi < lo || cap == 0) return 0;
+  const std::uint64_t len = hi - lo + 1;
+  if (len - 1 < kInlineSpan) {
+    // A short span (the event engine's typical quiet gap is a slot or
+    // two) is cheaper as a plain loop than a threshold plus a dispatched
+    // kernel call. Counting is monotone, so capping the total equals the
+    // loop-until-cap replay. len == 0 (the wrapped full range) wraps
+    // past the test and keeps the kernels' answer, 0.
+    std::uint64_t n = 0;
+    for (std::uint64_t i = 0; i < len; ++i) n += bernoulli_with_key(key_, lo + i, p, lane);
+    return n < cap ? n : cap;
+  }
   const std::uint64_t thr = bernoulli_threshold(p);
   if (thr == 0) return 0;
-  const std::uint64_t len = hi - lo + 1;
   if (thr == (1ULL << 53)) return len < cap ? len : cap;
   // The coin loop runs on the dispatched SIMD kernel (bit-identical to
   // scalar on every tier — see core/rng_simd.hpp).
   return simd::kernels().count_span(key_, lo, hi, thr, lane, cap);
-}
-
-void CounterRng::bernoulli_batch(const std::uint64_t* keys, const double* ps, std::size_t n,
-                                 std::uint64_t counter, std::uint8_t* out,
-                                 std::uint64_t lane) noexcept {
-  simd::kernels().batch(keys, ps, n, counter, lane, out);
 }
 
 std::uint64_t CounterRng::count_jittered_band_span(std::uint64_t lo, std::uint64_t hi,

@@ -7,7 +7,6 @@
 // both consume the same per-packet draws in the same order.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <cmath>
 
@@ -102,6 +101,12 @@ class Rng {
   /// Poisson sample (Knuth for small mean, normal approximation for large).
   std::uint64_t poisson(double mean) noexcept;
 
+  /// The same draw with e^-mean supplied by the caller, who must pass
+  /// exactly std::exp(-mean) (it is read only when 0 < mean < 32): a
+  /// process that draws many counts at one fixed mean caches the exp.
+  /// Bit-identical to poisson(mean) under that precondition.
+  std::uint64_t poisson(double mean, double exp_neg_mean) noexcept;
+
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
@@ -139,8 +144,8 @@ class CounterRng {
     return draw_with_key(key_, counter, lane);
   }
 
-  /// Keyless form of `draw` for the batched evaluators: `key` is a raw
-  /// key() value (already mixed), not a seed.
+  /// Keyless form of `draw`: `key` is a raw key() value (already mixed),
+  /// not a seed.
   static std::uint64_t draw_with_key(std::uint64_t key, std::uint64_t counter,
                                      std::uint64_t lane = 0) noexcept {
     std::uint64_t z = key + 0x9e3779b97f4a7c15ULL * (counter + 1);
@@ -165,24 +170,34 @@ class CounterRng {
     return draw_double(counter, lane) < p;
   }
 
+  /// Keyless, branch-free form of `bernoulli` for a raw key() value: equal
+  /// to `bernoulli(counter, p, lane)` of that key for every p: the uniform
+  /// lies in [0, 1), so p >= 1 always succeeds and p <= 0 never does, as
+  /// bernoulli's early outs decide (a NaN p fails in both). Phase 1 of
+  /// the engines draws each accessor's send coin with it, inline.
+  static bool bernoulli_with_key(std::uint64_t key, std::uint64_t counter, double p,
+                                 std::uint64_t lane = 0) noexcept {
+    return static_cast<double>(draw_with_key(key, counter, lane) >> 11) * 0x1.0p-53 < p;
+  }
+
   /// Uniform integer in [0, n) at (counter, lane). Uses the widening
   /// multiply reduction (bias < n / 2^64 — negligible for simulation, and
   /// unlike rejection it stays a single order-independent draw).
   std::uint64_t draw_below(std::uint64_t counter, std::uint64_t n,
                            std::uint64_t lane = 0) const noexcept;
 
-  // ------------------------------------------------------- batched coins
+  // ---------------------------------------------------------- span coins
   //
   // Counter-mode draws are pure, so a SPAN of Bernoulli coins can be
-  // evaluated in one call with no visible state: the batched forms below
+  // evaluated in one call with no visible state: the span forms below
   // produce bit-for-bit the same decisions as the equivalent loop of
   // `bernoulli` calls, but branch-free (integer threshold compare — see
-  // bernoulli_threshold). They are the hot path of the sharded engine's
-  // send-draw phase and of the randomized jammers' quiet-span replay,
-  // and they execute on the runtime-dispatched SIMD coin kernels
-  // (core/rng_simd.hpp): 4/8/2 hashes per instruction on
-  // AVX2/AVX-512/NEON, with a scalar fallback. Every tier is
-  // bit-identical to scalar, so dispatch is invisible to results.
+  // bernoulli_threshold). They are the hot path of the randomized
+  // jammers' quiet-span replay, and they execute on the
+  // runtime-dispatched SIMD coin kernels (core/rng_simd.hpp): 4/8/2
+  // hashes per instruction on AVX2/AVX-512/NEON, with a scalar fallback.
+  // Every tier is bit-identical to scalar, so dispatch is invisible to
+  // results.
 
   /// The integer threshold T with `draw_double(c,l) < p  <=>  draw(c,l)
   /// >> 11 < T`. Exact: x * 2^-53 and p * 2^53 are both power-of-two
@@ -195,20 +210,12 @@ class CounterRng {
   /// [lo, hi] (inclusive), capped at `cap`: exactly the value of
   ///   n = 0; for (c = lo; c <= hi && n < cap; ++c) n += bernoulli(c, p);
   /// but evaluated in popcount blocks with early exit at the cap — the
-  /// batched form of the jammers' per-slot quiet-span replay.
+  /// batched form of the jammers' per-slot quiet-span replay. Spans of at
+  /// most kInlineSpan coins skip the kernels and loop inline.
   std::uint64_t count_bernoulli_span(std::uint64_t lo, std::uint64_t hi, double p,
                                      std::uint64_t cap = ~0ULL,
                                      std::uint64_t lane = 0) const noexcept;
-
-  /// One coin per (key_i, p_i) at a fixed counter: out[i] =
-  /// CounterRng-with-key(keys[i]).bernoulli(counter, ps[i], lane). The
-  /// sharded engine evaluates a whole shard's send decisions for one
-  /// slot with a single call (keys are the packets' coin keys, the
-  /// counter is the slot). The loop is branch-free per element and
-  /// auto-vectorizable; `keys` are raw key() values, not seeds.
-  static void bernoulli_batch(const std::uint64_t* keys, const double* ps, std::size_t n,
-                              std::uint64_t counter, std::uint8_t* out,
-                              std::uint64_t lane = 0) noexcept;
+  static constexpr std::uint64_t kInlineSpan = 8;
 
   /// The jittered contention-band replay (RandomContentionJammer::hit as
   /// a span): for each counter t in [lo, hi], lanes 1/2 jitter the band

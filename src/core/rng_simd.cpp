@@ -50,14 +50,6 @@ std::uint64_t count_span_scalar(std::uint64_t key, std::uint64_t lo, std::uint64
   return n < cap ? n : cap;
 }
 
-void batch_scalar(const std::uint64_t* keys, const double* ps, std::size_t n,
-                  std::uint64_t counter, std::uint64_t lane, std::uint8_t* out) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<std::uint8_t>((CounterRng::draw_with_key(keys[i], counter, lane) >> 11) <
-                                       CounterRng::bernoulli_threshold(ps[i]));
-  }
-}
-
 std::uint64_t jittered_band_span_scalar(std::uint64_t key, std::uint64_t lo, std::uint64_t hi,
                                         double contention, double band_lo, double band_hi,
                                         double jitter, std::uint64_t thr,
@@ -80,8 +72,7 @@ std::uint64_t jittered_band_span_scalar(std::uint64_t key, std::uint64_t lo, std
   return n < cap ? n : cap;
 }
 
-constexpr CoinKernels kScalarTable{&count_span_scalar, &batch_scalar,
-                                   &jittered_band_span_scalar};
+constexpr CoinKernels kScalarTable{&count_span_scalar, &jittered_band_span_scalar};
 
 }  // namespace
 

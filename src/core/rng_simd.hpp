@@ -2,14 +2,16 @@
 // over several counter lanes per instruction, behind one-time runtime
 // dispatch.
 //
-// Every batched coin evaluation in the simulator — `count_bernoulli_span`
-// (jammer quiet-span replay), `bernoulli_batch` (phase-1 send draws), and
-// the jittered randband three-lane replay — funnels through the kernel
-// table returned by `kernels()`. The table is chosen once per process:
-// probe the CPU (cpuid on x86; NEON is baseline on aarch64), pick the
-// widest tier the build and the host both support, then honor a
-// `LOWSENSE_SIMD=scalar|avx2|avx512|neon` environment override for
-// testing. Selection is an execution knob, never a result knob:
+// The simulator's span coin evaluations — `count_bernoulli_span` (the
+// random jammers' quiet-span replay) and the jittered randband three-lane
+// replay — funnel through the kernel table returned by `kernels()`. They
+// are the only callers: a slot's send coins are drawn inline, one scalar
+// `CounterRng` hash per accessor (sim/channel.cpp), because a slot
+// usually has one or two accessors, too few to fill a vector. The table
+// is chosen once per process: probe the CPU (cpuid on x86; NEON is
+// baseline on aarch64), pick the widest tier the build and the host both
+// support, then honor a `LOWSENSE_SIMD=scalar|avx2|avx512|neon`
+// environment override for testing. Selection is an execution knob, never a result knob:
 //
 //   EVERY TIER IS BIT-IDENTICAL TO SCALAR for all inputs.
 //
@@ -28,14 +30,13 @@
 // the library stays baseline.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace lowsense::simd {
 
 enum class Tier : std::uint8_t { kScalar = 0, kAvx2, kAvx512, kNeon };
 
-/// The three batched coin kernels, one implementation per tier. All
+/// The two span coin kernels, one implementation per tier. All
 /// preconditions are established by the CounterRng wrappers (rng.cpp):
 /// hi >= lo, cap > 0, and 0 < thr <= 2^53 (thresholds come from
 /// CounterRng::bernoulli_threshold).
@@ -45,10 +46,6 @@ struct CoinKernels {
   /// equals the loop-until-cap replay).
   std::uint64_t (*count_span)(std::uint64_t key, std::uint64_t lo, std::uint64_t hi,
                               std::uint64_t thr, std::uint64_t lane, std::uint64_t cap) noexcept;
-
-  /// out[i] = one coin per (keys[i], ps[i]) at a fixed (counter, lane).
-  void (*batch)(const std::uint64_t* keys, const double* ps, std::size_t n,
-                std::uint64_t counter, std::uint64_t lane, std::uint8_t* out) noexcept;
 
   /// The jittered randband replay: per slot t in [lo, hi], lanes 1/2 push
   /// the band edges outward by jitter * U[0,1) and lane 0 draws the jam

@@ -22,8 +22,6 @@
 
 #include <algorithm>
 
-#include "core/rng.hpp"
-
 namespace lowsense::simd::detail {
 namespace {
 
@@ -57,13 +55,6 @@ inline __m256d u64_to_pd(__m256i x) noexcept {
   const __m256d f =
       _mm256_sub_pd(_mm256_castsi256_pd(hi), _mm256_set1_pd(0x1.0p84 + 0x1.0p52));
   return _mm256_add_pd(f, _mm256_castsi256_pd(lo));
-}
-
-/// Mask of lanes with (draw >> 11) < thr, as the 4 low bits of an int.
-/// Signed compare is exact here: both sides < 2^53.
-inline int coin_mask4(__m256i draws, __m256i thr) noexcept {
-  const __m256i hit = _mm256_cmpgt_epi64(thr, _mm256_srli_epi64(draws, 11));
-  return _mm256_movemask_pd(_mm256_castsi256_pd(hit));
 }
 
 // Counter-stage offsets: lane i of a step holds key + kCounterGamma *
@@ -130,32 +121,6 @@ std::uint64_t count_span_avx2(std::uint64_t key, std::uint64_t lo, std::uint64_t
   return n < cap ? n : cap;
 }
 
-void batch_avx2(const std::uint64_t* keys, const double* ps, std::size_t n,
-                std::uint64_t counter, std::uint64_t lane, std::uint8_t* out) noexcept {
-  const __m256i counter_add = set1_u64(kCounterGamma * (counter + 1));
-  const __m256i lane_stage = set1_u64(kLaneGamma * (lane + 1));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i k =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    const __m256i h = mix4(_mm256_add_epi64(k, counter_add));
-    const __m256i draws = mix4(_mm256_add_epi64(h, lane_stage));
-    // Thresholds stay scalar (branchy ceil in bernoulli_threshold); the
-    // hash pipeline is the hot part.
-    const __m256i thr_v =
-        _mm256_setr_epi64x(static_cast<long long>(CounterRng::bernoulli_threshold(ps[i])),
-                           static_cast<long long>(CounterRng::bernoulli_threshold(ps[i + 1])),
-                           static_cast<long long>(CounterRng::bernoulli_threshold(ps[i + 2])),
-                           static_cast<long long>(CounterRng::bernoulli_threshold(ps[i + 3])));
-    const int m = coin_mask4(draws, thr_v);
-    out[i] = static_cast<std::uint8_t>(m & 1);
-    out[i + 1] = static_cast<std::uint8_t>((m >> 1) & 1);
-    out[i + 2] = static_cast<std::uint8_t>((m >> 2) & 1);
-    out[i + 3] = static_cast<std::uint8_t>((m >> 3) & 1);
-  }
-  if (i < n) scalar_kernels().batch(keys + i, ps + i, n - i, counter, lane, out + i);
-}
-
 std::uint64_t jittered_band_span_avx2(std::uint64_t key, std::uint64_t lo, std::uint64_t hi,
                                       double contention, double band_lo, double band_hi,
                                       double jitter, std::uint64_t thr,
@@ -212,7 +177,7 @@ std::uint64_t jittered_band_span_avx2(std::uint64_t key, std::uint64_t lo, std::
   return n < cap ? n : cap;
 }
 
-constexpr CoinKernels kAvx2Table{&count_span_avx2, &batch_avx2, &jittered_band_span_avx2};
+constexpr CoinKernels kAvx2Table{&count_span_avx2, &jittered_band_span_avx2};
 
 }  // namespace
 

@@ -15,8 +15,6 @@
 
 #include <immintrin.h>
 
-#include "core/rng.hpp"
-
 // GCC's unmasked AVX-512 intrinsics (e.g. _mm512_srli_epi64) expand to the
 // masked builtin with _mm512_undefined_epi32() as the pass-through operand,
 // which -Wmaybe-uninitialized flags at every inlined use site (GCC bug
@@ -84,34 +82,6 @@ std::uint64_t count_span_avx512(std::uint64_t key, std::uint64_t lo, std::uint64
   return n < cap ? n : cap;
 }
 
-void batch_avx512(const std::uint64_t* keys, const double* ps, std::size_t n,
-                  std::uint64_t counter, std::uint64_t lane, std::uint8_t* out) noexcept {
-  const __m512i counter_add = set1_u64(kCounterGamma * (counter + 1));
-  const __m512i lane_stage = set1_u64(kLaneGamma * (lane + 1));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i k = _mm512_loadu_si512(keys + i);
-    const __m512i h = mix8(_mm512_add_epi64(k, counter_add));
-    const __m512i draws = mix8(_mm512_add_epi64(h, lane_stage));
-    // Thresholds stay scalar (branchy ceil in bernoulli_threshold); the
-    // hash pipeline is the hot part.
-    const __m512i thr_v =
-        _mm512_setr_epi64(static_cast<long long>(CounterRng::bernoulli_threshold(ps[i])),
-                          static_cast<long long>(CounterRng::bernoulli_threshold(ps[i + 1])),
-                          static_cast<long long>(CounterRng::bernoulli_threshold(ps[i + 2])),
-                          static_cast<long long>(CounterRng::bernoulli_threshold(ps[i + 3])),
-                          static_cast<long long>(CounterRng::bernoulli_threshold(ps[i + 4])),
-                          static_cast<long long>(CounterRng::bernoulli_threshold(ps[i + 5])),
-                          static_cast<long long>(CounterRng::bernoulli_threshold(ps[i + 6])),
-                          static_cast<long long>(CounterRng::bernoulli_threshold(ps[i + 7])));
-    const unsigned m = coin_mask8(draws, thr_v);
-    for (std::size_t b = 0; b < 8; ++b) {
-      out[i + b] = static_cast<std::uint8_t>((m >> b) & 1U);
-    }
-  }
-  if (i < n) scalar_kernels().batch(keys + i, ps + i, n - i, counter, lane, out + i);
-}
-
 std::uint64_t jittered_band_span_avx512(std::uint64_t key, std::uint64_t lo, std::uint64_t hi,
                                         double contention, double band_lo, double band_hi,
                                         double jitter, std::uint64_t thr,
@@ -161,8 +131,7 @@ std::uint64_t jittered_band_span_avx512(std::uint64_t key, std::uint64_t lo, std
   return n < cap ? n : cap;
 }
 
-constexpr CoinKernels kAvx512Table{&count_span_avx512, &batch_avx512,
-                                   &jittered_band_span_avx512};
+constexpr CoinKernels kAvx512Table{&count_span_avx512, &jittered_band_span_avx512};
 
 }  // namespace
 

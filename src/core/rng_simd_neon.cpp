@@ -15,8 +15,6 @@
 
 #include <arm_neon.h>
 
-#include "core/rng.hpp"
-
 namespace lowsense::simd::detail {
 namespace {
 
@@ -80,24 +78,6 @@ std::uint64_t count_span_neon(std::uint64_t key, std::uint64_t lo, std::uint64_t
   return n < cap ? n : cap;
 }
 
-void batch_neon(const std::uint64_t* keys, const double* ps, std::size_t n,
-                std::uint64_t counter, std::uint64_t lane, std::uint8_t* out) noexcept {
-  const uint64x2_t counter_add = vdupq_n_u64(kCounterGamma * (counter + 1));
-  const uint64x2_t lane_stage = vdupq_n_u64(kLaneGamma * (lane + 1));
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t k = vld1q_u64(keys + i);
-    const uint64x2_t h = mix2(vaddq_u64(k, counter_add));
-    const uint64x2_t draws = mix2(vaddq_u64(h, lane_stage));
-    const uint64x2_t thr_v = {CounterRng::bernoulli_threshold(ps[i]),
-                              CounterRng::bernoulli_threshold(ps[i + 1])};
-    const uint64x2_t m = coin_mask2(draws, thr_v);
-    out[i] = static_cast<std::uint8_t>(vgetq_lane_u64(m, 0) & 1U);
-    out[i + 1] = static_cast<std::uint8_t>(vgetq_lane_u64(m, 1) & 1U);
-  }
-  if (i < n) scalar_kernels().batch(keys + i, ps + i, n - i, counter, lane, out + i);
-}
-
 std::uint64_t jittered_band_span_neon(std::uint64_t key, std::uint64_t lo, std::uint64_t hi,
                                       double contention, double band_lo, double band_hi,
                                       double jitter, std::uint64_t thr,
@@ -145,7 +125,7 @@ std::uint64_t jittered_band_span_neon(std::uint64_t key, std::uint64_t lo, std::
   return n < cap ? n : cap;
 }
 
-constexpr CoinKernels kNeonTable{&count_span_neon, &batch_neon, &jittered_band_span_neon};
+constexpr CoinKernels kNeonTable{&count_span_neon, &jittered_band_span_neon};
 
 }  // namespace
 

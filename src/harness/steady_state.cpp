@@ -11,7 +11,10 @@ SteadyStateObserver::SteadyStateObserver(Slot window) : window_(window) {
 
 SteadyWindow& SteadyStateObserver::at_slot(Slot t) {
   if (t > last_slot_) last_slot_ = t;
+  // Unsigned wrap sends t < start down the division path too.
+  if (!windows_.empty() && t - windows_[cur_].start < window_) return windows_[cur_];
   const std::size_t idx = static_cast<std::size_t>(t / window_);
+  cur_ = idx;
   if (idx >= windows_.size()) {
     const std::size_t old = windows_.size();
     windows_.resize(idx + 1);
@@ -56,7 +59,8 @@ void SteadyStateObserver::on_quiet_span(Slot from, Slot to, std::uint64_t jams,
   std::uint64_t jams_left = jams;
   Slot chunk_start = from;
   while (chunk_start <= to) {
-    const Slot window_end = (chunk_start / window_ + 1) * window_ - 1;
+    SteadyWindow& w = at_slot(chunk_start);
+    const Slot window_end = w.start + window_ - 1;
     const Slot chunk_end = window_end < to ? window_end : to;
     const Slot chunk_slots = chunk_end - chunk_start + 1;
 
@@ -72,7 +76,6 @@ void SteadyStateObserver::on_quiet_span(Slot from, Slot to, std::uint64_t jams,
     if (chunk_jams > jams_left) chunk_jams = jams_left;
     jams_left -= chunk_jams;
 
-    SteadyWindow& w = at_slot(chunk_start);
     w.active_slots += chunk_slots;
     w.jams += chunk_jams;
     w.backlog_slot_sum += counters.backlog * chunk_slots;

@@ -103,11 +103,15 @@ class SteadyStateObserver final : public Observer {
   SteadySummary summarize(std::size_t warmup_windows) const;
 
  private:
+  /// The window holding slot t (grown on demand). Callbacks arrive in
+  /// slot order, so the last window found is cached and a slot inside it
+  /// costs a compare instead of a 64-bit division.
   SteadyWindow& at_slot(Slot t);
 
   Slot window_;
   Slot last_slot_ = 0;
   std::vector<SteadyWindow> windows_;
+  std::size_t cur_ = 0;  ///< index of the cached window (valid once windows_ is non-empty)
 };
 
 }  // namespace lowsense

@@ -1,5 +1,7 @@
 #include "metrics/trace.hpp"
 
+#include <array>
+#include <cstddef>
 #include <ostream>
 #include <sstream>
 
@@ -86,15 +88,30 @@ constexpr std::uint64_t kTagDeparture = 0xD2;
 constexpr std::uint64_t kTagSlot = 0x51;
 constexpr std::uint64_t kTagEnd = 0xE0;
 
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;  // FNV 64-bit prime
+
+// kFnvPrimePow[z] = kFnvPrime^z mod 2^64.
+constexpr std::array<std::uint64_t, 9> kFnvPrimePow = [] {
+  std::array<std::uint64_t, 9> pow{};
+  pow[0] = 1;
+  for (std::size_t z = 1; z < pow.size(); ++z) pow[z] = pow[z - 1] * kFnvPrime;
+  return pow;
+}();
+
 }  // namespace
 
 void TraceDigest::mix(std::uint64_t word) noexcept {
   // FNV-1a over the word's 8 little-endian bytes (byte order is fixed by
-  // the shifts, not by the host, so the digest is platform-stable).
-  for (int i = 0; i < 8; ++i) {
+  // the shifts, not by the host, so the digest is platform-stable). A
+  // zero byte's xor is a no-op, so the word's z zero HIGH bytes fold into
+  // one multiply by kFnvPrime^z — exact mod 2^64, and most words the
+  // engines report (slots, ids, counts) are one to three bytes long.
+  const int bytes = word == 0 ? 0 : (71 - __builtin_clzll(word)) / 8;
+  for (int i = 0; i < bytes; ++i) {
     hash_ ^= (word >> (8 * i)) & 0xFF;
-    hash_ *= 1099511628211ULL;  // FNV 64-bit prime
+    hash_ *= kFnvPrime;
   }
+  hash_ *= kFnvPrimePow[static_cast<std::size_t>(8 - bytes)];
 }
 
 void TraceDigest::on_arrival(Slot slot, PacketId id, const Protocol&) {

@@ -222,9 +222,15 @@ void SimCore::run_sharded(std::size_t total_accessors, Phase phase) {
 // ascending-LOGICAL-id order: `list_of(shard)` selects the (sorted)
 // per-shard id list, fn(id, shard_index, pos) handles one entry. Both
 // serial phases use THIS loop, so they cannot disagree on the canonical
-// order — which is the determinism contract.
+// order — which is the determinism contract. A single shard's list is
+// already in that order and is walked directly.
 template <typename GetList, typename Fn>
 void SimCore::for_each_in_id_order(GetList&& list_of, Fn&& fn) {
+  if (shards_.size() == 1) {
+    const std::vector<PacketId>& ids = list_of(shards_.front());
+    for (std::size_t pos = 0; pos < ids.size(); ++pos) fn(ids[pos], 0, pos);
+    return;
+  }
   std::fill(scratch_pos_.begin(), scratch_pos_.end(), 0);
   for (;;) {
     PacketId best = kNoPacket;
@@ -243,40 +249,54 @@ void SimCore::for_each_in_id_order(GetList&& list_of, Fn&& fn) {
 
 // Phase 1 — parallel per shard: canonicalize the bucket (ascending
 // LOGICAL id — slab order is placement, not identity, and recycling
-// makes it non-monotone), tally accesses, and evaluate the slot-keyed
-// send coins in one batched call. Reads and writes only shard-owned
-// lanes; the protocol objects are not touched.
+// makes it non-monotone), then one pass that tallies each access and
+// draws its slot-keyed send coin inline — a scalar CounterRng hash,
+// since a slot usually has one or two accessors. Reads and writes only
+// shard-owned lanes; the protocol objects are not touched.
 void SimCore::phase_send_draws(Slot t, PacketShard& shard) {
   PacketStore& store = shard.store();
   auto& acc = shard.accessors;
+  auto& ids = shard.accessor_ids;
   const std::size_t k = acc.size();
-  auto& tmp = shard.sort_tmp;
-  tmp.resize(k);
-  for (std::size_t i = 0; i < k; ++i) tmp[i] = {store.id(acc[i]), acc[i]};
-  sort_by_id(tmp, shard.sort_scratch);
-  shard.accessor_ids.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    shard.accessor_ids[i] = tmp[i].first;
-    acc[i] = tmp[i].second;
+  ids.resize(k);
+  if (k < kSmallBucket) {
+    // Insertion sort in place on the two aligned lists: no (id, slab)
+    // pair round trip, and a one-accessor bucket costs one id load.
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::uint32_t slab = acc[i];
+      const PacketId id = store.id(slab);
+      std::size_t j = i;
+      for (; j > 0 && ids[j - 1] > id; --j) {
+        ids[j] = ids[j - 1];
+        acc[j] = acc[j - 1];
+      }
+      ids[j] = id;
+      acc[j] = slab;
+    }
+  } else {
+    auto& tmp = shard.sort_tmp;
+    tmp.resize(k);
+    for (std::size_t i = 0; i < k; ++i) tmp[i] = {store.id(acc[i]), acc[i]};
+    sort_by_id(tmp, shard.sort_scratch);
+    for (std::size_t i = 0; i < k; ++i) {
+      ids[i] = tmp[i].first;
+      acc[i] = tmp[i].second;
+    }
   }
   shard.senders.clear();
   shard.sender_ids.clear();
-  shard.coin_keys.resize(k);
-  shard.coin_ps.resize(k);
   shard.coin_out.resize(k);
   for (std::size_t i = 0; i < k; ++i) {
-    assert(store.at(acc[i]).active);  // a reclaimed slab can never sit in the wheel
-    ++store.accesses(acc[i]);
-    shard.coin_keys[i] = store.coin_key(acc[i]);
-    shard.coin_ps[i] = store.send_given_access(acc[i]);
-  }
-  CounterRng::bernoulli_batch(shard.coin_keys.data(), shard.coin_ps.data(), k, t,
-                              shard.coin_out.data());
-  for (std::size_t i = 0; i < k; ++i) {
-    if (shard.coin_out[i] != 0) {
-      ++store.sends(acc[i]);
-      shard.senders.push_back(acc[i]);
-      shard.sender_ids.push_back(shard.accessor_ids[i]);
+    const std::uint32_t slab = acc[i];
+    assert(store.at(slab).active);  // a reclaimed slab can never sit in the wheel
+    ++store.accesses(slab);
+    const bool sent =
+        CounterRng::bernoulli_with_key(store.coin_key(slab), t, store.send_given_access(slab));
+    shard.coin_out[i] = static_cast<std::uint8_t>(sent);
+    if (sent) {
+      ++store.sends(slab);
+      shard.senders.push_back(slab);
+      shard.sender_ids.push_back(ids[i]);
     }
   }
 }
@@ -286,19 +306,19 @@ void SimCore::phase_send_draws(Slot t, PacketShard& shard) {
 // the gap), cache the step in the lanes, and re-register the packet in
 // the shard's own wheel. The cross-shard effects (contention, max window,
 // observer callbacks) are only RECORDED here, in `outcomes`, and applied
-// by the serial shard-merge in resolve_phases.
+// by the serial shard-merge in resolve_phases. Entry i is rewritten for
+// every accessor i (the merge reads a departed entry's flag only), so
+// `outcomes` only grows and is never zero-filled.
 void SimCore::phase_feedback(Slot t, Feedback fb, PacketShard& shard) {
   PacketStore& store = shard.store();
   const auto& acc = shard.accessors;
-  shard.outcomes.assign(acc.size(), {});
+  if (shard.outcomes.size() < acc.size()) shard.outcomes.resize(acc.size());
   for (std::size_t i = 0; i < acc.size(); ++i) {
     const std::uint32_t slab = acc[i];
     Packet& pkt = store.at(slab);
     PacketShard::Outcome& out = shard.outcomes[i];
-    if (!pkt.active) {
-      out.departed = true;  // the slot's winner: no feedback, no redraw
-      continue;
-    }
+    out.departed = !pkt.active;
+    if (out.departed) continue;  // the slot's winner: no feedback, no redraw
     ProtocolStep step;
     pkt.proto->step(Observation{fb, shard.coin_out[i] != 0}, pkt.rng, &step);
     out.old_window = store.window(slab);
@@ -331,7 +351,7 @@ void SimCore::resolve_phases(Slot t) {
   std::size_t total = 0;
   for (const PacketShard& shard : shards_) total += shard.accessors.size();
 
-  // 1. Send decisions: one slot-keyed coin per accessor, batched per
+  // 1. Send decisions: one slot-keyed coin per accessor, drawn per
   //    shard. Pure in (seed, id, t), so shard scheduling cannot matter.
   phase_slot_ = t;
   run_sharded(total, Phase::kSendDraws);

@@ -34,8 +34,11 @@ namespace lowsense::detail {
 /// A (logical id, slab) pair — the unit phase 1 canonicalizes.
 using IdSlab = std::pair<PacketId, std::uint32_t>;
 
-/// Buckets of at least this many accessors are sorted by LSD radix,
-/// smaller ones by std::sort. The choice depends on the bucket size only.
+/// Phase 1 sorts buckets below kSmallBucket accessors by insertion, in
+/// place; larger ones go through sort_by_id, which uses LSD radix from
+/// kRadixSortMinBucket up and std::sort below. The choice depends on the
+/// bucket size only.
+inline constexpr std::size_t kSmallBucket = 16;
 inline constexpr std::size_t kRadixSortMinBucket = 64;
 
 /// Sorts `items` by ascending logical id (the canonical order of phase 1).
@@ -79,11 +82,11 @@ class PacketShard {
   std::vector<PacketId> accessor_ids;    ///< logical ids, aligned with accessors
   std::vector<std::uint32_t> senders;    ///< transmitting subset (slabs, same order)
   std::vector<PacketId> sender_ids;      ///< logical ids, aligned with senders
-  std::vector<Outcome> outcomes;         ///< aligned with `accessors`
-  std::vector<IdSlab> sort_tmp;          ///< canonicalize scratch
-  std::vector<IdSlab> sort_scratch;      ///< sort_by_id's second buffer
-  std::vector<std::uint64_t> coin_keys;  ///< batched send-draw inputs
-  std::vector<double> coin_ps;
+  /// Aligned with `accessors`; only the first accessors.size() entries
+  /// are this slot's (the vector grows but never shrinks or zero-fills).
+  std::vector<Outcome> outcomes;
+  std::vector<IdSlab> sort_tmp;        ///< canonicalize scratch
+  std::vector<IdSlab> sort_scratch;    ///< sort_by_id's second buffer
   std::vector<std::uint8_t> coin_out;  ///< sent this slot? aligned with `accessors`
 
  private:

@@ -21,8 +21,9 @@
 // in three phases:
 //
 //   1. send-draw   — parallel per shard: sort the shard's bucket by
-//                    logical id, batch-evaluate the slot-keyed send
-//                    coins, tally accesses.
+//                    logical id, then per accessor read its lanes once,
+//                    tally the access and draw its slot-keyed send coin
+//                    inline (one scalar CounterRng hash).
 //   2. arbitration — serial: merge senders in ascending-id order, consult
 //                    the jammer, decide the outcome, depart the winner.
 //   3. feedback    — parallel per shard: one Protocol::step per accessor
@@ -159,7 +160,8 @@ class SimCore {
   void run_sharded(std::size_t total_accessors, Phase phase);
   /// Visits accessor-aligned entries of all shards in canonical
   /// ascending-LOGICAL-id order (the one merge both serial phases use).
-  /// `list_of(shard)` selects the per-shard sorted id list.
+  /// `list_of(shard)` selects the per-shard sorted id list; with a single
+  /// shard that list is walked directly.
   template <typename GetList, typename Fn>
   void for_each_in_id_order(GetList&& list_of, Fn&& fn);
 

@@ -95,6 +95,33 @@ TEST(PoissonArrivals, RateMatchesLongRunAverage) {
   EXPECT_NEAR(measured, rate, rate * 0.1);
 }
 
+TEST(PoissonArrivals, FirstThousandBurstsArePinned) {
+  // Pinned before the per-burst constants were cached: caching
+  // -expm1(-rate), log1p(-p) and exp(-rate) must not move a single draw.
+  PoissonArrivals arrivals(0.05, 0, Rng(7));
+  const ArrivalBurst head[] = {{57, 1}, {64, 1}, {108, 1}, {165, 1}, {201, 1}};
+  std::uint64_t hash = 14695981039346656037ULL;
+  std::uint64_t total = 0;
+  ArrivalBurst b;
+  for (int i = 0; i < 1000; ++i) {
+    const auto next = arrivals.next();
+    ASSERT_TRUE(next.has_value());
+    b = *next;
+    if (i < 5) {
+      EXPECT_EQ(b.slot, head[i].slot) << "burst " << i;
+      EXPECT_EQ(b.count, head[i].count) << "burst " << i;
+    }
+    total += b.count;
+    for (const std::uint64_t w : {b.slot, b.count}) {
+      hash ^= w;
+      hash *= 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(b.slot, 20483u);
+  EXPECT_EQ(total, 1026u);
+  EXPECT_EQ(hash, 0x15c52feafc8d1236ULL);
+}
+
 TEST(PoissonArrivals, RejectsBadRate) {
   EXPECT_THROW(PoissonArrivals(0.0, 10, Rng(3)), std::invalid_argument);
   EXPECT_THROW(PoissonArrivals(-1.0, 10, Rng(3)), std::invalid_argument);

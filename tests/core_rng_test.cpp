@@ -202,6 +202,20 @@ TEST(Poisson, MeanAndZeroRate) {
   }
 }
 
+TEST(Poisson, CachedExpOverloadIsBitIdentical) {
+  // poisson(mean, exp(-mean)) must replay poisson(mean) draw for draw, on
+  // both sides of the product-method / normal-approximation switch at 32.
+  for (const double mean : {1e-3, 0.05, 1.0, 31.9, 32.0, 100.0}) {
+    Rng a(41);
+    Rng b(41);
+    const double e = std::exp(-mean);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(a.poisson(mean, e), b.poisson(mean)) << "mean=" << mean << " i=" << i;
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "mean=" << mean;  // same draws consumed
+  }
+}
+
 // ------------------------------------------------------------ CounterRng
 
 TEST(CounterRng, DrawIsDeterministicPerKey) {
@@ -411,6 +425,29 @@ TEST(CounterRngBatch, CountSpanHonorsTheCapLikeTheReplayLoop) {
   }
 }
 
+TEST(CounterRngBatch, ShortSpansMatchTheReplayLoopAcrossTheInlineCutoff) {
+  // Spans up to kInlineSpan coins are counted inline, longer ones by the
+  // kernels: both sides of the cutoff must equal the capped replay loop,
+  // degenerate probabilities included.
+  const CounterRng rng(31337, 4);
+  const std::uint64_t cutoff = CounterRng::kInlineSpan;
+  for (std::uint64_t len = 1; len <= cutoff + 2; ++len) {
+    for (const double p : {-1.0, 0.0, 0.3, 0.999, 1.0, 2.0}) {
+      for (const std::uint64_t cap : {1ULL, 2ULL, 5ULL, ~0ULL}) {
+        for (const std::uint64_t lo : {0ULL, 777ULL, ~0ULL - len}) {
+          const std::uint64_t hi = lo + len - 1;
+          std::uint64_t want = 0;
+          for (std::uint64_t i = 0; i < len && want < cap; ++i) {
+            want += rng.bernoulli(lo + i, p, 1);
+          }
+          EXPECT_EQ(rng.count_bernoulli_span(lo, hi, p, cap, 1), want)
+              << "len=" << len << " p=" << p << " cap=" << cap << " lo=" << lo;
+        }
+      }
+    }
+  }
+}
+
 TEST(CounterRngBatch, CountSpanEdgeProbabilities) {
   const CounterRng rng(5);
   EXPECT_EQ(rng.count_bernoulli_span(0, 999, 0.0), 0u);
@@ -434,23 +471,23 @@ TEST(CounterRngBatch, BernoulliThresholdReproducesTheDoubleCompare) {
   }
 }
 
-TEST(CounterRngBatch, BernoulliBatchMatchesScalarCalls) {
+TEST(CounterRng, BernoulliWithKeyMatchesBernoulli) {
+  // The keyless branch-free coin (phase 1's send draw) must agree with the
+  // member bernoulli, early outs included: p <= 0, p >= 1, NaN, and the
+  // bit-exact neighbours of a threshold.
   Rng meta(88);
-  constexpr std::size_t kN = 257;
-  std::vector<std::uint64_t> keys(kN);
-  std::vector<double> ps(kN);
-  std::vector<CounterRng> rngs;
-  for (std::size_t i = 0; i < kN; ++i) {
-    rngs.emplace_back(meta.next_u64(), i);
-    keys[i] = rngs.back().key();
-    ps[i] = i % 13 == 0 ? (i % 2 ? 0.0 : 1.0) : meta.next_double();
-  }
-  for (std::uint64_t counter : {0ULL, 63ULL, 64ULL, 123456789ULL}) {
-    std::vector<std::uint8_t> out(kN, 0xcc);
-    CounterRng::bernoulli_batch(keys.data(), ps.data(), kN, counter, out.data());
-    for (std::size_t i = 0; i < kN; ++i) {
-      EXPECT_EQ(out[i] != 0, rngs[i].bernoulli(counter, ps[i]))
-          << "i=" << i << " counter=" << counter;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int trial = 0; trial < 257; ++trial) {
+    const CounterRng rng(meta.next_u64(), static_cast<std::uint64_t>(trial));
+    const std::uint64_t counter = meta.next_u64() >> (trial % 64);
+    const double u = rng.draw_double(counter);
+    for (const double p : {0.0, -0.5, 1.0, 1.5, nan, meta.next_double(), u,
+                           std::nextafter(u, 2.0), std::nextafter(u, -1.0)}) {
+      for (const std::uint64_t lane : {0ULL, 3ULL}) {
+        EXPECT_EQ(CounterRng::bernoulli_with_key(rng.key(), counter, p, lane),
+                  rng.bernoulli(counter, p, lane))
+            << "trial=" << trial << " p=" << p << " lane=" << lane;
+      }
     }
   }
 }

@@ -10,13 +10,16 @@
 //    window).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "adversary/arrivals.hpp"
 #include "adversary/jammer.hpp"
 #include "harness/experiment.hpp"
 #include "harness/steady_state.hpp"
+#include "protocols/low_sensing.hpp"
 #include "protocols/registry.hpp"
 
 namespace lowsense {
@@ -175,6 +178,90 @@ TEST(SteadyStateSummarize, EngineAgreementOnPartialHorizon) {
   // without exceeding the inclusive horizon.
   EXPECT_GT(got[0].covered_slots, 2 * window);
   EXPECT_LE(got[0].covered_slots, horizon + 1);
+}
+
+// The observer caches the last window it found. Callbacks that straddle
+// window boundaries (the last slot of one window, the first of the next),
+// a quiet span across three windows, and one out-of-order callback must
+// land exactly where windows computed by division put them.
+TEST(SteadyStateWindows, CachedWindowMatchesDivisionAcrossBoundaries) {
+  const Slot window = 100;
+  SteadyStateObserver obs(window);
+  std::vector<SteadyWindow> want;
+  const auto at = [&](Slot t) -> SteadyWindow& {
+    const std::size_t idx = static_cast<std::size_t>(t / window);
+    while (want.size() <= idx) {
+      want.emplace_back();
+      want.back().start = static_cast<Slot>(want.size() - 1) * window;
+    }
+    return want[idx];
+  };
+  const auto slot = [&](Slot t, std::uint32_t accessors, std::uint32_t senders, bool jammed,
+                        std::uint64_t backlog) {
+    SlotInfo info;
+    info.slot = t;
+    info.accessors = accessors;
+    info.senders = senders;
+    info.jammed = jammed;
+    obs.on_slot(info, counters_with_backlog(backlog));
+    SteadyWindow& w = at(t);
+    ++w.active_slots;
+    w.jams += jammed ? 1 : 0;
+    w.accesses += accessors;
+    w.sends += senders;
+    w.backlog_slot_sum += backlog;
+    w.backlog_peak = std::max(w.backlog_peak, backlog);
+  };
+  const auto arrival = [&](Slot t) {
+    obs.on_arrival(t, 0, LowSensingBackoff{});
+    ++at(t).arrivals;
+  };
+  const auto departure = [&](Slot t, Slot arrived) {
+    obs.on_departure(t, 0, arrived, 1, 1, 1.0);
+    ++at(t).departures;
+    at(t).latency.add(static_cast<double>(t - arrived));
+  };
+
+  arrival(99);
+  slot(99, 1, 1, false, 1);
+  arrival(100);
+  slot(100, 2, 2, true, 2);
+  departure(199, 99);
+  slot(199, 2, 1, false, 1);
+  // Quiet span over windows 2, 3 and 4 (50 + 100 + 100 slots): the 7 jams
+  // go pro rata, ceil(7 * 50/250) = 2, then 3, then the 2 left.
+  obs.on_quiet_span(250, 499, 7, counters_with_backlog(1));
+  const std::uint64_t span_jams[] = {2, 3, 2};
+  for (std::size_t i = 0; i < 3; ++i) {
+    SteadyWindow& w = at(250 + 100 * i);
+    w.active_slots += i == 0 ? 50 : 100;
+    w.jams += span_jams[i];
+    w.backlog_slot_sum += i == 0 ? 50 : 100;
+    w.backlog_peak = std::max<std::uint64_t>(w.backlog_peak, 1);
+  }
+  departure(500, 100);
+  slot(500, 1, 1, false, 0);
+  arrival(42);  // out of order: back to window 0, then forward again
+  slot(699, 3, 0, false, 1);
+
+  ASSERT_EQ(obs.windows().size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const SteadyWindow& got = obs.windows()[i];
+    EXPECT_EQ(got.start, want[i].start) << "window " << i;
+    EXPECT_EQ(got.arrivals, want[i].arrivals) << "window " << i;
+    EXPECT_EQ(got.departures, want[i].departures) << "window " << i;
+    EXPECT_EQ(got.active_slots, want[i].active_slots) << "window " << i;
+    EXPECT_EQ(got.jams, want[i].jams) << "window " << i;
+    EXPECT_EQ(got.accesses, want[i].accesses) << "window " << i;
+    EXPECT_EQ(got.sends, want[i].sends) << "window " << i;
+    EXPECT_EQ(got.backlog_peak, want[i].backlog_peak) << "window " << i;
+    EXPECT_EQ(got.backlog_slot_sum, want[i].backlog_slot_sum) << "window " << i;
+    EXPECT_EQ(got.latency.count(), want[i].latency.count()) << "window " << i;
+    EXPECT_EQ(got.latency.sum(), want[i].latency.sum()) << "window " << i;
+  }
+  EXPECT_EQ(obs.windows()[0].arrivals, 2u);  // slots 99 and 42
+  EXPECT_EQ(obs.windows()[3].jams, 3u);
+  EXPECT_EQ(obs.last_slot_seen(), 699u);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Unit tests for the slot-level trace capture.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <sstream>
+#include <vector>
 
 #include "adversary/arrivals.hpp"
 #include "adversary/jammer.hpp"
@@ -101,6 +103,89 @@ TEST(TraceCapture, SuccessEventsHaveOneSender) {
       ASSERT_FALSE(ev.jammed);
     }
   }
+}
+
+// ------------------------------------------------------------ TraceDigest
+
+// Byte-at-a-time FNV-1a over each word's 8 little-endian bytes: the
+// definition TraceDigest::mix must reproduce however it folds the bytes.
+std::uint64_t fnv1a_words(std::initializer_list<std::uint64_t> words) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const std::uint64_t w : words) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (w >> (8 * i)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+TEST(TraceDigest, MixEqualsByteAtATimeFnv1aForEveryByteLength) {
+  // on_arrival folds exactly (tag 0xA1, slot, id), so it exposes mix() on
+  // two chosen words. Cover every significant-byte length 0..8, at both
+  // ends of each length, plus zero bytes in the middle of a word.
+  std::vector<std::uint64_t> words{0, ~0ULL, 0x0100000000000001ULL, 0x00ff0000ff000000ULL};
+  for (int bytes = 1; bytes <= 8; ++bytes) {
+    const int shift = 8 * (bytes - 1);
+    words.push_back(1ULL << shift);                                 // smallest
+    words.push_back(bytes == 8 ? ~0ULL : (1ULL << (shift + 8)) - 1);  // largest
+    words.push_back((0x5aULL << shift) | 0x3c);
+  }
+  const LowSensingBackoff proto;
+  for (const std::uint64_t slot : words) {
+    for (const std::uint64_t id : {std::uint64_t{0}, std::uint64_t{0xff}, slot, ~slot}) {
+      TraceDigest d;
+      d.on_arrival(slot, id, proto);
+      EXPECT_EQ(d.value(), fnv1a_words({0xA1, slot, id})) << std::hex << slot << " " << id;
+    }
+  }
+}
+
+TEST(TraceDigest, FixedCallbackSequenceHasPinnedDigest) {
+  // Pinned before mix() folded zero high bytes: the fold must not move a
+  // single bit of any digest. Covers every callback kind, a skipped
+  // access-free slot, and words from 0 to 8 significant bytes.
+  TraceDigest d;
+  const LowSensingBackoff proto;
+  d.on_arrival(0, 0, proto);
+  d.on_arrival(0, 1, proto);
+  Counters c;
+  c.backlog = 2;
+  SlotInfo collision;
+  collision.accessors = 2;
+  collision.senders = 2;
+  collision.feedback = Feedback::kNoisy;
+  d.on_slot(collision, c);
+  SlotInfo quiet;
+  quiet.slot = 3;
+  d.on_slot(quiet, c);  // zero accessors: not folded
+  c.backlog = 1;
+  d.on_departure(0x100, 1, 0, 3, 2, 4.0);
+  SlotInfo win;
+  win.slot = 0x100;
+  win.accessors = 1;
+  win.senders = 1;
+  win.success = true;
+  win.feedback = Feedback::kSuccess;
+  d.on_slot(win, c);
+  d.on_arrival(0xffffffffffULL, 0x123456789aULL, proto);
+  SlotInfo jammed;
+  jammed.slot = 0x0123456789abcdefULL;
+  jammed.accessors = 0xff;
+  jammed.jammed = true;
+  jammed.feedback = Feedback::kNoisy;
+  c.backlog = ~0ULL;
+  d.on_slot(jammed, c);
+  Counters end;
+  end.slot = 0x0123456789abcdefULL;
+  end.active_slots = 1ULL << 56;
+  end.arrivals = 3;
+  end.successes = 1;
+  end.jammed_active_slots = 0x10000;
+  end.backlog = 2;
+  d.on_run_end(end);
+  EXPECT_EQ(d.events(), 8u);
+  EXPECT_EQ(d.hex(), "d99e5587f38cee0a");
 }
 
 }  // namespace

@@ -350,5 +350,113 @@ TEST(ShardIdentity, PermanentlySilentBacklogTerminatesSharded) {
   }
 }
 
+// ------------------------------------------------- phase-1 send coins
+
+/// Replays phase 1's send decisions from outside the engine: a packet
+/// that accesses slot t sends iff CounterRng(seed, 2^32 + id).bernoulli(
+/// t, p), where p is its send_given_access lane as of its previous
+/// access (or injection). The observer snapshots each live packet's lanes
+/// after every slot and checks the next slot's send tallies against that
+/// coin, for accessors and non-accessors alike.
+struct SendCoinReplay final : Observer {
+  struct Snap {
+    Slot next = kNoSlot;
+    double p = 0.0;
+    std::uint64_t sends = 0;
+  };
+  const detail::SimCore* core = nullptr;
+  std::uint64_t seed = 0;
+  std::map<PacketId, Snap> snaps;
+  std::uint64_t coins = 0;
+  std::uint64_t sent = 0;
+  std::uint64_t fractional_p = 0;  ///< coins drawn with 0 < p < 1
+  std::uint64_t mismatches = 0;
+  std::uint64_t slot_senders = 0;  ///< senders of the slot being checked
+
+  bool coin(PacketId id, Slot t, double p) {
+    ++coins;
+    if (p > 0.0 && p < 1.0) ++fractional_p;
+    const bool s = CounterRng(seed, (1ULL << 32) + id).bernoulli(t, p);
+    sent += s ? 1 : 0;
+    return s;
+  }
+  Snap snapshot(const detail::ActiveRef& ref) const {
+    const detail::PacketStore& store = core->store_of(ref);
+    return {store.next_access(ref.slab), store.send_given_access(ref.slab),
+            store.sends(ref.slab)};
+  }
+  void on_arrival(Slot, PacketId id, const Protocol&) override {
+    const detail::ActiveRef& ref = core->active().back();  // just injected
+    ASSERT_EQ(ref.id, id);
+    snaps[id] = snapshot(ref);
+  }
+  void on_departure(Slot t, PacketId id, Slot, std::uint64_t, std::uint64_t sends,
+                    double) override {
+    const Snap snap = snaps.at(id);
+    // The winner accessed slot t and sent: its coin must have come up.
+    if (snap.next != t || !coin(id, t, snap.p) || sends != snap.sends + 1) ++mismatches;
+    ++slot_senders;
+    snaps.erase(id);
+  }
+  void on_slot(const SlotInfo& info, const Counters&) override {
+    for (const detail::ActiveRef& ref : core->active()) {
+      Snap& snap = snaps.at(ref.id);
+      const Snap now = snapshot(ref);
+      bool want = false;
+      if (snap.next == info.slot) want = coin(ref.id, info.slot, snap.p);
+      slot_senders += want ? 1 : 0;
+      if (now.sends != snap.sends + (want ? 1 : 0)) ++mismatches;
+      snap = now;
+    }
+    if (slot_senders != info.senders) ++mismatches;
+    slot_senders = 0;
+  }
+};
+
+TEST(SendCoins, PhaseOneDrawsTheSlotKeyedCoinOfEachAccessor) {
+  auto factory = make_protocol("low-sensing");
+  for (const bool stream : {true, false}) {
+    for (const bool slot_engine : {true, false}) {
+      for (const unsigned shards : {1u, 4u}) {
+        const std::string label = std::string(stream ? "stream" : "batch") + "/" +
+                                  (slot_engine ? "slot" : "event") + "/shards" +
+                                  std::to_string(shards);
+        RunConfig cfg;
+        cfg.seed = 23;
+        cfg.shards = shards;
+        cfg.max_slot = 40000;
+        // A jammed Poisson stream (one or two accessors a slot), and a
+        // batch whose first buckets take the radix sort and the fork.
+        std::unique_ptr<ArrivalProcess> arrivals;
+        if (stream) {
+          arrivals = std::make_unique<PoissonArrivals>(0.05, 0, Rng(5));
+        } else {
+          arrivals = std::make_unique<BatchArrivals>(400);
+        }
+        auto jammer = make_jammer(stream ? JamKind::kRandom : JamKind::kNone, cfg.seed);
+        SendCoinReplay replay;
+        replay.seed = cfg.seed;
+        const auto run = [&](auto& engine) {
+          replay.core = &engine.core();
+          engine.add_observer(&replay);
+          engine.run();
+        };
+        if (slot_engine) {
+          SlotEngine engine(*factory, *arrivals, *jammer, cfg);
+          run(engine);
+        } else {
+          EventEngine engine(*factory, *arrivals, *jammer, cfg);
+          run(engine);
+        }
+        EXPECT_EQ(replay.mismatches, 0u) << label;
+        EXPECT_GT(replay.coins, 1000u) << label;
+        EXPECT_GT(replay.fractional_p, 100u) << label;
+        EXPECT_GT(replay.sent, 100u) << label;
+        EXPECT_LT(replay.sent, replay.coins) << label;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lowsense
