@@ -74,10 +74,12 @@ class ScheduleArrivals final : public ArrivalProcess {
 /// COST. The nonzero count is drawn by rejection: Poisson(rate) draws
 /// until one is positive, about 1 / (1 - e^-rate) ≈ 1/rate draws per
 /// burst, each at least one uniform. That is ~20 draws at rate 0.05, but
-/// the first burst at rate 1e-7 takes ~0.03 s and rate 1e-12 does not
-/// finish in minutes. A direct draw from the zero-truncated distribution
-/// would be O(1), but it changes the stream (and every pinned digest of
-/// a Poisson workload), so it is left for a change that re-pins them.
+/// O(1/rate) in general: measured before the constants below were
+/// cached, the first burst took 0.029 s at rate 1e-7, and at rate 1e-12
+/// it did not finish in 150 s. A direct draw from the zero-truncated
+/// distribution would be O(1), but it changes the stream (and every
+/// pinned digest of a Poisson workload), so it is left for a change
+/// that re-pins them.
 class PoissonArrivals final : public ArrivalProcess {
  public:
   PoissonArrivals(double rate, std::uint64_t max_packets, Rng rng);

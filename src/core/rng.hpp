@@ -215,6 +215,8 @@ class CounterRng {
   std::uint64_t count_bernoulli_span(std::uint64_t lo, std::uint64_t hi, double p,
                                      std::uint64_t cap = ~0ULL,
                                      std::uint64_t lane = 0) const noexcept;
+
+  /// Longest span count_bernoulli_span counts with an inline loop.
   static constexpr std::uint64_t kInlineSpan = 8;
 
   /// The jittered contention-band replay (RandomContentionJammer::hit as
