@@ -8,7 +8,9 @@
 // simulate.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "adversary/arrivals.hpp"
 #include "adversary/jammer.hpp"
@@ -46,6 +48,43 @@ void BM_LsbObservation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LsbObservation);
+
+void BM_LsbStepBatch(benchmark::State& state) {
+  // Phase 3's protocol work for one heavy slot of range(0) LSB packets:
+  // range(1) = 0 steps them one object at a time (Protocol::step), 1
+  // through the factory's loop-split step_batch. Feedback is mixed per
+  // packet from a fixed 1024-entry pattern, so windows random-walk.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool batched = state.range(1) != 0;
+  LowSensingFactory factory;
+  std::vector<std::unique_ptr<Protocol>> protos;
+  std::vector<Rng> rngs;
+  std::vector<StepItem> items(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    protos.push_back(factory.create());
+    rngs.push_back(Rng::stream(1, i));
+  }
+  std::vector<Observation> pattern(1024);
+  Rng fb(9);
+  for (Observation& o : pattern) o = {static_cast<Feedback>(fb.next_below(3)), false};
+  std::size_t next = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < n; ++i) {
+      items[i] = StepItem{protos[i].get(), &rngs[i], pattern[next++ % pattern.size()], {}};
+    }
+    if (batched) {
+      factory.step_batch(items);
+    } else {
+      for (StepItem& it : items) it.proto->step(it.obs, *it.rng, &it.out);
+    }
+    benchmark::DoNotOptimize(items.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+  state.SetLabel(batched ? "step_batch" : "per-object step");
+}
+BENCHMARK(BM_LsbStepBatch)->Args({96, 0})->Args({96, 1});
 
 void BM_EventEngineBatch(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));

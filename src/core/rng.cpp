@@ -21,19 +21,13 @@ std::uint64_t Rng::next_below(std::uint64_t n) noexcept {
 
 std::uint64_t Rng::geometric_gap(double p) noexcept {
   // Same early outs as below, so the degenerate p skip the log.
-  if (p >= 1.0) return 1;
-  if (p <= 0.0) return std::numeric_limits<std::uint64_t>::max();
+  if (const std::uint64_t g = geometric_gap_without_draw(p)) return g;
   return geometric_gap(p, std::log1p(-p));
 }
 
 std::uint64_t Rng::geometric_gap(double p, double log1m_p) noexcept {
-  if (p >= 1.0) return 1;
-  if (p <= 0.0) return std::numeric_limits<std::uint64_t>::max();
-  // Inverse transform: gap = ceil(ln U / ln(1-p)) for U in (0,1].
-  const double u = next_double_pos();
-  const double g = std::ceil(std::log(u) / log1m_p);
-  if (g >= 9.0e18) return std::numeric_limits<std::uint64_t>::max();
-  return g < 1.0 ? 1 : static_cast<std::uint64_t>(g);
+  if (const std::uint64_t g = geometric_gap_without_draw(p)) return g;
+  return geometric_gap_from_log(std::log(next_double_pos()), log1m_p);
 }
 
 std::uint64_t Rng::poisson(double mean) noexcept {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cmath>
+#include <limits>
 
 namespace lowsense {
 
@@ -97,6 +98,29 @@ class Rng {
   /// caches the log instead of recomputing it for every gap. Bit-identical
   /// to geometric_gap(p) under that precondition.
   std::uint64_t geometric_gap(double p, double log1m_p) noexcept;
+
+  // The two ends of geometric_gap(p, log1m_p), for batched callers that
+  // run its stages as separate passes over many packets — with each
+  // packet's own stream, bit-identical to one call per packet:
+  //
+  //   g = geometric_gap_without_draw(p);  // 0 = a draw is needed
+  //   if (g == 0) g = geometric_gap_from_log(std::log(next_double_pos()), log1m_p);
+
+  /// The gap when p needs no uniform — 1 for p >= 1, never (kNoSlot) for
+  /// p <= 0 — and 0 otherwise, NaN included.
+  static std::uint64_t geometric_gap_without_draw(double p) noexcept {
+    if (p >= 1.0) return 1;
+    if (p <= 0.0) return std::numeric_limits<std::uint64_t>::max();
+    return 0;
+  }
+
+  /// The gap for a uniform U in (0, 1] given as log_u = ln U.
+  static std::uint64_t geometric_gap_from_log(double log_u, double log1m_p) noexcept {
+    // Inverse transform: gap = ceil(ln U / ln(1-p)).
+    const double g = std::ceil(log_u / log1m_p);
+    if (g >= 9.0e18) return std::numeric_limits<std::uint64_t>::max();
+    return g < 1.0 ? 1 : static_cast<std::uint64_t>(g);
+  }
 
   /// Poisson sample (Knuth for small mean, normal approximation for large).
   std::uint64_t poisson(double mean) noexcept;

@@ -32,7 +32,7 @@ class BinaryExponentialBackoff final : public BuiltinProtocol<BinaryExponentialB
   double w_;
 };
 
-class BinaryExponentialFactory final : public ProtocolFactory {
+class BinaryExponentialFactory final : public BuiltinFactory<BinaryExponentialBackoff> {
  public:
   explicit BinaryExponentialFactory(const BinaryExponentialParams& params = {})
       : params_(params) {}

@@ -22,7 +22,7 @@ class FixedProbability final : public BuiltinProtocol<FixedProbability> {
   double p_;
 };
 
-class FixedProbabilityFactory final : public ProtocolFactory {
+class FixedProbabilityFactory final : public BuiltinFactory<FixedProbability> {
  public:
   explicit FixedProbabilityFactory(double p) : p_(p) {}
   std::unique_ptr<Protocol> create() const override {

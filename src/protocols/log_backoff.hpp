@@ -30,7 +30,7 @@ class SlowBackoff final : public BuiltinProtocol<SlowBackoff> {
   double w_;
 };
 
-class SlowBackoffFactory final : public ProtocolFactory {
+class SlowBackoffFactory final : public BuiltinFactory<SlowBackoff> {
  public:
   explicit SlowBackoffFactory(const SlowBackoffParams& params = {}) : params_(params) {}
   std::unique_ptr<Protocol> create() const override;

@@ -62,9 +62,18 @@ class LowSensingBackoff final : public BuiltinProtocol<LowSensingBackoff> {
 
   const LowSensingParams& params() const noexcept { return params_; }
 
+  /// BuiltinProtocol::step_chunk with refresh_probs() and the gap split
+  /// further: ln w, ln(1 - listen_prob) and the gap's ln U each run as
+  /// their own pass over the chunk (at most kStepChunk items).
+  static void step_chunk(std::span<StepItem> items);
+
  private:
+  /// Fig. 1's window update for one observation; true iff w_ changed.
+  bool update_window(const Observation& obs) noexcept;
   /// Recomputes everything derived from w_; called whenever w_ changes.
   void refresh_probs() noexcept;
+  /// refresh_probs() given ln_w = std::log(w_), except log1m_listen_.
+  void refresh_from_ln_w(double ln_w) noexcept;
   double ln_boost() const noexcept;  ///< ln^e(w), floored at 1
 
   LowSensingParams params_;
@@ -75,7 +84,7 @@ class LowSensingBackoff final : public BuiltinProtocol<LowSensingBackoff> {
   double send_given_listen_ = 0.0;
 };
 
-class LowSensingFactory final : public ProtocolFactory {
+class LowSensingFactory final : public BuiltinFactory<LowSensingBackoff> {
  public:
   explicit LowSensingFactory(const LowSensingParams& params = {}) : initial_(params) {}
   /// A copy of one precomputed fresh state (w = w_min): the logs are

@@ -31,7 +31,7 @@ class MwFullSensing final : public BuiltinProtocol<MwFullSensing> {
   double w_;
 };
 
-class MwFullSensingFactory final : public ProtocolFactory {
+class MwFullSensingFactory final : public BuiltinFactory<MwFullSensing> {
  public:
   explicit MwFullSensingFactory(const MwFullSensingParams& params = {}) : params_(params) {}
   std::unique_ptr<Protocol> create() const override;

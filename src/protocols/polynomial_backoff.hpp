@@ -32,7 +32,7 @@ class PolynomialBackoff final : public BuiltinProtocol<PolynomialBackoff> {
   double w_;
 };
 
-class PolynomialBackoffFactory final : public ProtocolFactory {
+class PolynomialBackoffFactory final : public BuiltinFactory<PolynomialBackoff> {
  public:
   explicit PolynomialBackoffFactory(const PolynomialBackoffParams& params = {})
       : params_(params) {}

@@ -15,16 +15,23 @@
 // Between channel accesses the packet is dormant and its per-slot access
 // probability is constant, which is what allows geometric gap-skipping.
 //
-// The engine drives a packet through ONE call per access, step(), and
-// caches what it returns (window, send probabilities, next gap) in its
-// packet lanes until the packet's next access. The contract above is
-// what makes that cache sound: nothing the engine cached can change
-// before the next on_observation(), which only step() delivers.
+// The engine drives a packet through ONE step per access and caches what
+// it returns (window, send probabilities, next gap) in its packet lanes
+// until the packet's next access. The contract above is what makes that
+// cache sound: nothing the engine cached can change before the next
+// on_observation(), which only a step delivers. A slot's steps reach the
+// protocols as one batch per shard, ProtocolFactory::step_batch(), which
+// by default is a loop over Protocol::step().
 #pragma once
 
+#include <algorithm>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <typeinfo>
 
 #include "core/rng.hpp"
 #include "core/types.hpp"
@@ -51,6 +58,17 @@ struct ProtocolStep {
   double send_prob = 0.0;          ///< access_prob() × send_prob_given_access()
   double send_given_access = 0.0;  ///< send_prob_given_access()
   std::uint64_t gap = 0;           ///< draw_gap(): slots to the next access
+};
+
+class Protocol;
+
+/// One access of a batched step: the packet's protocol and gap stream,
+/// what it observed, and (filled in by step_batch) what step() returns.
+struct StepItem {
+  Protocol* proto = nullptr;
+  Rng* rng = nullptr;
+  Observation obs;
+  ProtocolStep out;
 };
 
 class Protocol {
@@ -107,10 +125,10 @@ class Protocol {
   }
 };
 
-/// Devirtualized step() for the built-in protocols: `Derived` is a final
-/// class, and every query below is a qualified (static) call into it, so
-/// an access costs one indirect call instead of five. The sequence and
-/// every floating-point operation match Protocol::step exactly.
+/// Devirtualized steps for the built-in protocols: `Derived` is a final
+/// class, and every query in step_chunk is a qualified (static) call into
+/// it. The sequence and every floating-point operation match
+/// Protocol::step exactly.
 template <class Derived>
 class BuiltinProtocol : public Protocol {
  public:
@@ -119,15 +137,32 @@ class BuiltinProtocol : public Protocol {
     return rng.geometric_gap(static_cast<const Derived&>(*this).Derived::access_prob());
   }
 
+  /// One indirect call instead of five: step_chunk over this one item.
   void step(const Observation& obs, Rng& rng, ProtocolStep* out) final {
-    Derived& d = static_cast<Derived&>(*this);
-    d.Derived::on_observation(obs);
-    out->window = d.Derived::window();
-    const double access = d.Derived::access_prob();
-    out->send_given_access = d.Derived::send_prob_given_access();
-    out->send_prob = access * out->send_given_access;
-    out->gap = d.Derived::draw_gap(rng);
+    StepItem item{this, &rng, obs, {}};
+    Derived::step_chunk({&item, 1});
+    *out = item.out;
   }
+
+  /// Protocol::step over a chunk of items whose protocols are all
+  /// `Derived`, one stage per pass: every on_observation, then every
+  /// state read, then every gap. Each item's own sequence is step()'s,
+  /// and items share no state, so the result is step()'s bit for bit.
+  /// Derived classes may hide this with a finer split.
+  static void step_chunk(std::span<StepItem> items) {
+    for (StepItem& it : items) as_derived(it).Derived::on_observation(it.obs);
+    for (StepItem& it : items) {
+      const Derived& d = as_derived(it);
+      it.out.window = d.Derived::window();
+      const double access = d.Derived::access_prob();
+      it.out.send_given_access = d.Derived::send_prob_given_access();
+      it.out.send_prob = access * it.out.send_given_access;
+    }
+    for (StepItem& it : items) it.out.gap = as_derived(it).Derived::draw_gap(*it.rng);
+  }
+
+ protected:
+  static Derived& as_derived(const StepItem& it) { return static_cast<Derived&>(*it.proto); }
 };
 
 /// Creates fresh protocol state for each arriving packet.
@@ -136,6 +171,45 @@ class ProtocolFactory {
   virtual ~ProtocolFactory() = default;
   virtual std::unique_ptr<Protocol> create() const = 0;
   virtual std::string name() const = 0;
+
+  /// Steps every item: item.proto->step(item.obs, *item.rng, &item.out).
+  /// The engine's feedback phase makes one such call per shard per slot.
+  /// Contract:
+  ///   * every item's protocol came from THIS factory's create(), and no
+  ///     two items share a protocol or an Rng;
+  ///   * the call is const and safe to run concurrently on one factory
+  ///     (shards step their own items in parallel), so any scratch an
+  ///     override needs lives on its stack;
+  ///   * the result — each item's `out`, protocol state and Rng state —
+  ///     is bit-identical to calling step() on the items one by one.
+  /// The default is exactly that loop, so a wrapping factory that keeps
+  /// it sees every per-object call its protocols would see unbatched.
+  virtual void step_batch(std::span<StepItem> items) const {
+    for (StepItem& it : items) it.proto->step(it.obs, *it.rng, &it.out);
+  }
+};
+
+/// The built-ins' factory base (`P` is the protocol the factory creates):
+/// step_batch() runs P::step_chunk over chunks of kStepChunk items — the
+/// loop-split form of step(), each stage a pass over the chunk, so the
+/// independent per-packet chains overlap instead of running back to
+/// back. The chunk bounds a pass's working set and the stack scratch of
+/// a step_chunk override.
+template <class P>
+class BuiltinFactory : public ProtocolFactory {
+ public:
+  static constexpr std::size_t kStepChunk = 32;
+
+  void step_batch(std::span<StepItem> items) const override {
+#ifndef NDEBUG
+    // A wrapper that forwards step_batch with its own objects would be
+    // statically cast to P below: catch it here.
+    for (const StepItem& it : items) assert(typeid(*it.proto) == typeid(P));
+#endif
+    for (std::size_t i = 0; i < items.size(); i += kStepChunk) {
+      P::step_chunk(items.subspan(i, std::min(kStepChunk, items.size() - i)));
+    }
+  }
 };
 
 }  // namespace lowsense

@@ -49,7 +49,7 @@ class WindowedEthernet final : public BuiltinProtocol<WindowedEthernet> {
   std::uint32_t collisions_ = 0;
 };
 
-class WindowedEthernetFactory final : public ProtocolFactory {
+class WindowedEthernetFactory final : public BuiltinFactory<WindowedEthernet> {
  public:
   explicit WindowedEthernetFactory(const WindowedEthernetParams& params = {})
       : params_(params) {}

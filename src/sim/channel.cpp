@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <limits>
 
@@ -53,6 +54,59 @@ void sort_by_id(std::vector<IdSlab>& items, std::vector<IdSlab>& scratch) {
     for (const IdSlab& e : items) scratch[pos[((e.first - lo) >> shift) & 0xff]++] = e;
     items.swap(scratch);
   }
+}
+
+void IdSorter::sort(std::span<PacketId> ids, std::span<std::uint32_t> slabs) {
+  const std::size_t k = ids.size();
+  assert(slabs.size() == k);
+  if (k == 0) return;
+  PacketId lo = ids[0];
+  PacketId hi = lo;
+  for (const PacketId id : ids) {
+    lo = std::min(lo, id);
+    hi = std::max(hi, id);
+  }
+  const PacketId span = hi - lo;
+  if (span > bitmap_cutoff(k)) {
+    tmp_.resize(k);
+    for (std::size_t i = 0; i < k; ++i) tmp_[i] = {ids[i], slabs[i]};
+    sort_by_id(tmp_, scratch_);
+    for (std::size_t i = 0; i < k; ++i) {
+      ids[i] = tmp_[i].first;
+      slabs[i] = tmp_[i].second;
+    }
+    return;
+  }
+  // Grow (never shrink) both arrays to the span, doubling up to the cap so
+  // that a slowly widening span does not reallocate every slot.
+  const auto need = static_cast<std::size_t>(span) + 1;
+  if (slab_at_.size() < need) {
+    const std::size_t size =
+        std::min<std::size_t>(std::max(need, 2 * slab_at_.size()), kBitmapCap);
+    slab_at_.reserve(size);
+    slab_at_.resize(size);
+    bits_.resize((size + 63) / 64);
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto off = static_cast<std::size_t>(ids[i] - lo);
+    bits_[off / 64] |= std::uint64_t{1} << (off % 64);
+    slab_at_[off] = slabs[i];
+  }
+  std::size_t pos = 0;
+  const std::size_t words = static_cast<std::size_t>(span / 64) + 1;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t word = bits_[w];
+    if (word == 0) continue;
+    bits_[w] = 0;
+    do {
+      const std::size_t off = w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+      ids[pos] = lo + off;
+      slabs[pos] = slab_at_[off];
+      ++pos;
+      word &= word - 1;
+    } while (word != 0);
+  }
+  assert(pos == k);  // distinct ids: one bit each
 }
 
 SimCore::SimCore(const ProtocolFactory& factory, ArrivalProcess& arrivals, Jammer& jammer,
@@ -274,14 +328,8 @@ void SimCore::phase_send_draws(Slot t, PacketShard& shard) {
       acc[j] = slab;
     }
   } else {
-    auto& tmp = shard.sort_tmp;
-    tmp.resize(k);
-    for (std::size_t i = 0; i < k; ++i) tmp[i] = {store.id(acc[i]), acc[i]};
-    sort_by_id(tmp, shard.sort_scratch);
-    for (std::size_t i = 0; i < k; ++i) {
-      ids[i] = tmp[i].first;
-      acc[i] = tmp[i].second;
-    }
+    for (std::size_t i = 0; i < k; ++i) ids[i] = store.id(acc[i]);
+    shard.sorter.sort(ids, acc);
   }
   shard.senders.clear();
   shard.sender_ids.clear();
@@ -301,26 +349,37 @@ void SimCore::phase_send_draws(Slot t, PacketShard& shard) {
   }
 }
 
-// Phase 3 — parallel per shard: one Protocol::step per accessor that did
-// not depart (deliver the observation, read back the new state, redraw
-// the gap), cache the step in the lanes, and re-register the packet in
-// the shard's own wheel. The cross-shard effects (contention, max window,
-// observer callbacks) are only RECORDED here, in `outcomes`, and applied
-// by the serial shard-merge in resolve_phases. Entry i is rewritten for
-// every accessor i (the merge reads a departed entry's flag only), so
-// `outcomes` only grows and is never zero-filled.
+// Phase 3 — parallel per shard: gather every accessor that did not
+// depart into one batch, step it with a single factory_.step_batch call
+// (deliver the observation, read back the new state, redraw the gap;
+// see ProtocolFactory), then scatter: cache each step in the lanes and
+// re-register the packet in the shard's own wheel. The cross-shard
+// effects (contention, max window, observer callbacks) are only RECORDED
+// here, in `outcomes`, and applied by the serial shard-merge in
+// resolve_phases. Entry i is rewritten for every accessor i (the merge
+// reads a departed entry's flag only), so `outcomes` only grows and is
+// never zero-filled.
 void SimCore::phase_feedback(Slot t, Feedback fb, PacketShard& shard) {
   PacketStore& store = shard.store();
   const auto& acc = shard.accessors;
   if (shard.outcomes.size() < acc.size()) shard.outcomes.resize(acc.size());
+  auto& steps = shard.steps;
+  steps.clear();
+  steps.reserve(acc.size());  // one exact growth, not a doubling copy
   for (std::size_t i = 0; i < acc.size(); ++i) {
-    const std::uint32_t slab = acc[i];
-    Packet& pkt = store.at(slab);
+    Packet& pkt = store.at(acc[i]);
+    shard.outcomes[i].departed = !pkt.active;
+    if (!pkt.active) continue;  // the slot's winner: no feedback, no redraw
+    const Observation obs{fb, shard.coin_out[i] != 0};
+    steps.push_back(StepItem{pkt.proto.get(), &pkt.rng, obs, {}});
+  }
+  factory_.step_batch(steps);
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < acc.size(); ++i) {
     PacketShard::Outcome& out = shard.outcomes[i];
-    out.departed = !pkt.active;
-    if (out.departed) continue;  // the slot's winner: no feedback, no redraw
-    ProtocolStep step;
-    pkt.proto->step(Observation{fb, shard.coin_out[i] != 0}, pkt.rng, &step);
+    if (out.departed) continue;
+    const std::uint32_t slab = acc[i];
+    const ProtocolStep& step = steps[j++].out;
     out.old_window = store.window(slab);
     out.new_window = step.window;
     out.contention_delta = step.send_prob - store.send_prob(slab);

@@ -19,9 +19,11 @@
 // touching the records.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -35,18 +37,49 @@ namespace lowsense::detail {
 using IdSlab = std::pair<PacketId, std::uint32_t>;
 
 /// Phase 1 sorts buckets below kSmallBucket accessors by insertion, in
-/// place; larger ones go through sort_by_id, which uses LSD radix from
-/// kRadixSortMinBucket up and std::sort below. The choice depends on the
-/// bucket size only.
+/// place; larger ones go through an IdSorter. The choice depends on the
+/// bucket size and id span only.
 inline constexpr std::size_t kSmallBucket = 16;
 inline constexpr std::size_t kRadixSortMinBucket = 64;
 
 /// Sorts `items` by ascending logical id (the canonical order of phase 1).
 /// Ids must be distinct, as they are within one slot's bucket, so the
-/// result equals std::sort's. Large buckets use a stable LSD radix sort on
-/// id - min_id with 8-bit digits, as many passes as the id span needs;
-/// `scratch` is its ping-pong buffer (contents unspecified afterwards).
+/// result equals std::sort's. Buckets of kRadixSortMinBucket or more use
+/// a stable LSD radix sort on id - min_id with 8-bit digits, as many
+/// passes as the id span needs; `scratch` is its ping-pong buffer
+/// (contents unspecified afterwards). Smaller ones use std::sort.
 void sort_by_id(std::vector<IdSlab>& items, std::vector<IdSlab>& scratch);
+
+/// Phase 1's canonicalizer for a shard's buckets of kSmallBucket or more
+/// accessors: sorts aligned id/slab lists by ascending id (ids distinct,
+/// so the order is std::sort's). A bucket whose id span max - min is at
+/// most bitmap_cutoff(k) is sorted in O(k + span / 64) by marking each
+/// id - min in a bitmap, parking its slab at slab_at[id - min], and
+/// reading both back in bit order; the scan zeroes the bitmap again.
+/// The rest go through sort_by_id. Both scratch arrays grow with the
+/// largest span seen, up to kBitmapCap entries.
+class IdSorter {
+ public:
+  static constexpr PacketId kBitmapCap = PacketId{1} << 16;
+  static constexpr PacketId kBitmapSpanPerId = 64;
+
+  /// The largest id span (max - min) a bucket of k ids sorts by bitmap.
+  static constexpr PacketId bitmap_cutoff(std::size_t k) noexcept {
+    return std::min<PacketId>(k * kBitmapSpanPerId, kBitmapCap - 1);
+  }
+
+  /// Sorts ids ascending and permutes the aligned slabs alongside.
+  void sort(std::span<PacketId> ids, std::span<std::uint32_t> slabs);
+
+  const std::vector<std::uint64_t>& bitmap() const noexcept { return bits_; }
+  std::size_t slab_at_capacity() const noexcept { return slab_at_.capacity(); }
+
+ private:
+  std::vector<std::uint64_t> bits_;     ///< one bit per id - min; all zero between calls
+  std::vector<std::uint32_t> slab_at_;  ///< slab of id - min (valid where the bit is set)
+  std::vector<IdSlab> tmp_;             ///< sort_by_id's input
+  std::vector<IdSlab> scratch_;         ///< sort_by_id's second buffer
+};
 
 class PacketShard {
  public:
@@ -85,9 +118,11 @@ class PacketShard {
   /// Aligned with `accessors`; only the first accessors.size() entries
   /// are this slot's (the vector grows but never shrinks or zero-fills).
   std::vector<Outcome> outcomes;
-  std::vector<IdSlab> sort_tmp;        ///< canonicalize scratch
-  std::vector<IdSlab> sort_scratch;    ///< sort_by_id's second buffer
+  IdSorter sorter;                     ///< phase 1's sort for buckets >= kSmallBucket
   std::vector<std::uint8_t> coin_out;  ///< sent this slot? aligned with `accessors`
+  /// Phase 3's step_batch items: the accessors that did not depart, in
+  /// `accessors` order.
+  std::vector<StepItem> steps;
 
  private:
   std::uint32_t index_;

@@ -21,15 +21,21 @@
 // in three phases:
 //
 //   1. send-draw   — parallel per shard: sort the shard's bucket by
-//                    logical id, then per accessor read its lanes once,
-//                    tally the access and draw its slot-keyed send coin
-//                    inline (one scalar CounterRng hash).
+//                    logical id (insertion below kSmallBucket; above it
+//                    the shard's IdSorter: a bitmap over id - min when
+//                    the span is within a small multiple of the bucket
+//                    size, sort_by_id otherwise), then per accessor read
+//                    its lanes once, tally the access and draw its
+//                    slot-keyed send coin inline (one scalar CounterRng
+//                    hash).
 //   2. arbitration — serial: merge senders in ascending-id order, consult
 //                    the jammer, decide the outcome, depart the winner.
-//   3. feedback    — parallel per shard: one Protocol::step per accessor
-//                    (observation in, new window / send probabilities /
-//                    gap out, cached in the lanes), re-register it in the
-//                    shard's wheel; then a serial shard-merge applies
+//   3. feedback    — parallel per shard: gather the accessors that did
+//                    not depart into StepItems and make ONE
+//                    factory.step_batch call (observation in, new window
+//                    / send probabilities / gap out), then scatter: cache
+//                    each step in the lanes, re-register the packet in
+//                    the shard's wheel; then a serial shard-merge applies
 //                    contention deltas and fires observers in
 //                    ascending-id order.
 //

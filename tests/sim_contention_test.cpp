@@ -171,8 +171,10 @@ struct RunTrace final : Observer {
 };
 
 TEST(Contention, WrapperWithDefaultStepEqualsUnwrappedRun) {
-  // A wrapper that does not override step() goes through the default
-  // sequence of virtual calls; the run must not move a bit.
+  // A wrapper that does not override step() or its factory's step_batch()
+  // goes through the default sequence of virtual calls, one object at a
+  // time; the run must not move a bit against the built-ins' loop-split
+  // batches.
   for (const char* protocol : {"low-sensing", "windowed-ethernet"}) {
     SCOPED_TRACE(protocol);
     const auto inner = make_protocol(protocol);
