@@ -2,10 +2,7 @@
 //
 // Measures the timing-wheel accessor index on its own (schedule / pop /
 // next-event scan, near-future ring vs. far-future overflow) and the
-// engine-level payoff: the wheel-backed slot engine against a faithful
-// reproduction of the legacy per-slot O(n_active) accessor scan it
-// replaced. The legacy loop is kept here, not in the library, precisely
-// so the contrast stays measurable after the engine rewrite.
+// wheel-backed slot engine end to end.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -99,49 +96,6 @@ void BM_SlotEngineBatch(benchmark::State& state) {
                                                  benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SlotEngineBatch)->Arg(2048)->Arg(16384)->Arg(131072)->Unit(benchmark::kMillisecond);
-
-void BM_SlotEngineLegacyScan(benchmark::State& state) {
-  // The pre-wheel slot engine: scan every active packet on every slot.
-  // Reproduced against SimCore's public surface for an honest same-
-  // workload comparison with BM_SlotEngineBatch. SimCore registers
-  // accesses in the wheel unconditionally, so the loop drains each
-  // slot's bucket (discarded) to keep the window sliding — the residual
-  // non-legacy overhead is one O(1) ring push + pop per access, noise
-  // next to the O(n_active)-per-slot scan being measured. Keep the args
-  // small or bring lunch.
-  const auto n = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    LowSensingFactory factory;
-    BatchArrivals arrivals(n);
-    NoJammer none;
-    RunConfig cfg;
-    cfg.seed = 1;
-    detail::SimCore core(factory, arrivals, none, cfg);
-    std::vector<detail::ActiveRef> accessors;
-    std::vector<std::uint32_t> drained;
-    Slot t = 0;
-    RunResult result;
-    while (true) {
-      if (core.n_active() == 0) {
-        const Slot next = core.next_arrival_slot();
-        if (next == kNoSlot) break;
-        t = next;
-      }
-      core.inject_arrivals_at(t);
-      drained.clear();
-      core.wheel().pop_slot(t, &drained);
-      accessors.clear();
-      for (const detail::ActiveRef& ref : core.active()) {
-        if (core.next_access_at(ref) == t) accessors.push_back(ref);
-      }
-      core.resolve_slot(t, accessors);
-      ++t;
-    }
-    core.finish(&result);
-    benchmark::DoNotOptimize(result.counters.successes);
-  }
-}
-BENCHMARK(BM_SlotEngineLegacyScan)->Arg(2048)->Arg(16384)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

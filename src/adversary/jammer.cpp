@@ -129,8 +129,8 @@ bool RandomContentionJammer::hit(Slot slot, const SystemView& view) const noexce
   // Lanes 1/2 jitter each band edge outward by an independent uniform
   // amount in [0, jitter); lane 0 is the jam coin itself. All three are
   // keyed on the slot, so the decision replays identically in any order.
-  // The jittered decision is a length-1 call into the SIMD band-replay
-  // kernel — the same compiled FP math (-ffp-contract=off) the batched
+  // The jittered decision is a length-1 call into the band-span replay
+  // (core/rng.cpp) — the same compiled FP math (-ffp-contract=off) the
   // span path uses, so per-slot and span evaluation can never diverge.
   // Without jitter the edge draws are multiplied by zero — skip the two
   // hashes (this runs once per active slot on the slot engine).
@@ -167,9 +167,9 @@ std::uint64_t RandomContentionJammer::count_quiet_range(Slot lo, Slot hi,
     // draws in hit() are multiplied by zero, so skipping them is exact.
     n = rng_.count_bernoulli_span(lo, hi, rate_, remaining);
   } else {
-    // Full three-lane replay (jam coin + two edge jitters per slot),
-    // batched as interleaved SIMD lanes. Capping at the remaining budget
-    // mid-span is part of the trace, exactly as in the jitter-free path.
+    // Full three-lane replay (jam coin + two edge jitters per slot) in
+    // one call. Capping at the remaining budget mid-span is part of the
+    // trace, exactly as in the jitter-free path.
     n = rng_.count_jittered_band_span(lo, hi, view.contention, lo_, hi_, jitter_, rate_,
                                       remaining);
   }

@@ -1,9 +1,10 @@
+// Built with -ffp-contract=off (see CMakeLists.txt): the jittered-band
+// span below must round each mul/sub/add on its own, so no target may
+// fuse them into FMAs and the pinned digests hold on every target.
 #include "core/rng.hpp"
 
 #include <algorithm>
 #include <limits>
-
-#include "core/rng_simd.hpp"
 
 namespace lowsense {
 
@@ -81,10 +82,10 @@ std::uint64_t CounterRng::count_bernoulli_span(std::uint64_t lo, std::uint64_t h
   const std::uint64_t len = hi - lo + 1;
   if (len - 1 < kInlineSpan) {
     // A short span (the event engine's typical quiet gap is a slot or
-    // two) is cheaper as a plain loop than a threshold plus a dispatched
-    // kernel call. Counting is monotone, so capping the total equals the
+    // two) is cheaper as a plain loop than a threshold plus the block
+    // loop. Counting is monotone, so capping the total equals the
     // loop-until-cap replay. len == 0 (the wrapped full range) wraps
-    // past the test and keeps the kernels' answer, 0.
+    // past the test and keeps the block loop's answer, 0.
     std::uint64_t n = 0;
     for (std::uint64_t i = 0; i < len; ++i) n += bernoulli_with_key(key_, lo + i, p, lane);
     return n < cap ? n : cap;
@@ -92,9 +93,22 @@ std::uint64_t CounterRng::count_bernoulli_span(std::uint64_t lo, std::uint64_t h
   const std::uint64_t thr = bernoulli_threshold(p);
   if (thr == 0) return 0;
   if (thr == (1ULL << 53)) return len < cap ? len : cap;
-  // The coin loop runs on the dispatched SIMD kernel (bit-identical to
-  // scalar on every tier — see core/rng_simd.hpp).
-  return simd::kernels().count_span(key_, lo, hi, thr, lane, cap);
+  // 64-coin blocks: build a success mask, popcount it. Counting is
+  // monotone, so min(total, cap) equals the loop-until-cap replay and the
+  // cap check only needs to run per block.
+  std::uint64_t n = 0;
+  std::uint64_t c = lo;
+  while (c <= hi && n < cap) {
+    const std::uint64_t block = std::min<std::uint64_t>(64, hi - c + 1);
+    std::uint64_t mask = 0;
+    for (std::uint64_t i = 0; i < block; ++i) {
+      mask |= static_cast<std::uint64_t>((draw_with_key(key_, c + i, lane) >> 11) < thr) << i;
+    }
+    n += static_cast<std::uint64_t>(__builtin_popcountll(mask));
+    if (c + block - 1 == hi) break;  // avoid overflow when hi is huge
+    c += block;
+  }
+  return n < cap ? n : cap;
 }
 
 std::uint64_t CounterRng::count_jittered_band_span(std::uint64_t lo, std::uint64_t hi,
@@ -104,8 +118,17 @@ std::uint64_t CounterRng::count_jittered_band_span(std::uint64_t lo, std::uint64
   if (hi < lo || cap == 0) return 0;
   const std::uint64_t thr = bernoulli_threshold(rate);
   if (thr == 0) return 0;  // the lane-0 coin never hits, band or no band
-  return simd::kernels().jittered_band_span(key_, lo, hi, contention, band_lo, band_hi, jitter,
-                                            thr, cap);
+  // Per slot: lanes 1/2 jitter each band edge outward by an independent
+  // uniform amount in [0, jitter); lane 0 is the jam coin, as an integer
+  // threshold compare (exact — see bernoulli_threshold).
+  std::uint64_t n = 0;
+  for (std::uint64_t t = lo; t <= hi && n < cap; ++t) {
+    const double lo_t = band_lo - jitter * draw_double(t, 1);
+    const double hi_t = band_hi + jitter * draw_double(t, 2);
+    if (contention < lo_t || contention > hi_t) continue;
+    n += static_cast<std::uint64_t>((draw_with_key(key_, t, 0) >> 11) < thr);
+  }
+  return n < cap ? n : cap;
 }
 
 }  // namespace lowsense

@@ -217,11 +217,9 @@ class CounterRng {
   // produce bit-for-bit the same decisions as the equivalent loop of
   // `bernoulli` calls, but branch-free (integer threshold compare — see
   // bernoulli_threshold). They are the hot path of the randomized
-  // jammers' quiet-span replay, and they execute on the
-  // runtime-dispatched SIMD coin kernels (core/rng_simd.hpp): 4/8/2
-  // hashes per instruction on AVX2/AVX-512/NEON, with a scalar fallback.
-  // Every tier is bit-identical to scalar, so dispatch is invisible to
-  // results.
+  // jammers' quiet-span replay. Most quiet spans are a few slots long, so
+  // the replay is plain scalar code: a popcount per 64-coin block, and an
+  // inline loop for short spans.
 
   /// The integer threshold T with `draw_double(c,l) < p  <=>  draw(c,l)
   /// >> 11 < T`. Exact: x * 2^-53 and p * 2^53 are both power-of-two
@@ -235,7 +233,7 @@ class CounterRng {
   ///   n = 0; for (c = lo; c <= hi && n < cap; ++c) n += bernoulli(c, p);
   /// but evaluated in popcount blocks with early exit at the cap — the
   /// batched form of the jammers' per-slot quiet-span replay. Spans of at
-  /// most kInlineSpan coins skip the kernels and loop inline.
+  /// most kInlineSpan coins skip the blocks and loop inline.
   std::uint64_t count_bernoulli_span(std::uint64_t lo, std::uint64_t hi, double p,
                                      std::uint64_t cap = ~0ULL,
                                      std::uint64_t lane = 0) const noexcept;
@@ -254,10 +252,10 @@ class CounterRng {
   ///     if (!(contention < lo_t || contention > hi_t))
   ///       n += bernoulli(t, rate, 0);
   ///   }
-  /// but with all three hashes per slot evaluated as interleaved SIMD
-  /// lanes. The FP band math is individually rounded (the kernels build
-  /// with -ffp-contract=off), so results are bit-identical on every
-  /// tier and target.
+  /// with the coin as an integer threshold compare. The FP band math is
+  /// individually rounded (rng.cpp builds with -ffp-contract=off), so
+  /// results are bit-identical on every target, and hit()'s length-1
+  /// call shares this compiled formula.
   std::uint64_t count_jittered_band_span(std::uint64_t lo, std::uint64_t hi, double contention,
                                          double band_lo, double band_hi, double jitter,
                                          double rate, std::uint64_t cap = ~0ULL) const noexcept;

@@ -32,13 +32,10 @@ void TextSink::begin(const BenchMeta& meta) {
   id_ = meta.id;
   report_header(meta.id, meta.paper_anchor, meta.claim);
   // Echo the run configuration, EXCEPT result-irrelevant execution knobs
-  // (threads, shards, json path, dispatched SIMD tier): stdout must be
-  // byte-identical across thread AND shard counts so the bit-identity
-  // tests can diff it, and across coin-kernel tiers so the simd-identity
-  // lane can diff LOWSENSE_SIMD=scalar against the default dispatch. The
-  // tier still lands in the JSON document's options block.
+  // (threads, shards, json path): stdout must be byte-identical across
+  // thread AND shard counts so the bit-identity tests can diff it.
   for (const auto& [k, v] : meta.options) {
-    if (k == "threads" || k == "shards" || k == "json" || k == "simd") continue;
+    if (k == "threads" || k == "shards" || k == "json") continue;
     if (k == "engine") {
       std::printf("engine: %s\n", v.c_str());
     } else if ((k == "jammer" || k == "arrivals") && !v.empty()) {

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/rng_simd.hpp"
 #include "harness/scenario.hpp"
 
 namespace lowsense {
@@ -77,9 +76,6 @@ void print_list(const BenchDef& def) {
   std::string flags;
   for (const auto& k : suite_flag_keys()) flags += (flags.empty() ? "" : " ") + k;
   std::printf("flags: %s\n", flags.c_str());
-  // Which coin-kernel tier this process dispatched to (LOWSENSE_SIMD
-  // overrides; results are tier-invariant).
-  std::printf("simd: %s\n", simd::active_tier_name());
 }
 
 }  // namespace
@@ -276,12 +272,7 @@ BenchMeta make_bench_meta(const BenchDef& def, const Args& args, const SuiteOpti
                   {"jammer", opts.jammer_spec},
                   {"jam-seed", std::to_string(opts.jam_seed)},
                   {"arrivals", opts.arrivals_spec},
-                  {"json", opts.json_path},
-                  // The dispatched SIMD coin-kernel tier. Execution metadata
-                  // only (tiers are bit-identical), recorded so bench_diff.py
-                  // can attribute perf drift to an ISA change; TextSink skips
-                  // it like the other result-irrelevant knobs.
-                  {"simd", simd::active_tier_name()}};
+                  {"json", opts.json_path}};
   for (const auto& p : def.params) {
     std::string v;
     switch (p.kind) {

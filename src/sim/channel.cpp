@@ -398,14 +398,6 @@ void SimCore::resolve_slot(Slot t) {
   resolve_phases(t);
 }
 
-void SimCore::resolve_slot(Slot t, std::span<const ActiveRef> accessors) {
-  for (PacketShard& shard : shards_) shard.accessors.clear();
-  for (const ActiveRef& ref : accessors) {
-    shards_[ref.id % shards_.size()].accessors.push_back(ref.slab);
-  }
-  resolve_phases(t);
-}
-
 void SimCore::resolve_phases(Slot t) {
   std::size_t total = 0;
   for (const PacketShard& shard : shards_) total += shard.accessors.size();

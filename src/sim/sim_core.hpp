@@ -52,10 +52,8 @@
 // and reclaim on is bit-identical to reclaim off.
 #pragma once
 
-#include <cassert>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "adversary/arrivals.hpp"
@@ -90,11 +88,6 @@ class SimCore {
   /// active_slots. Engines call this with non-decreasing t.
   void resolve_slot(Slot t);
 
-  /// Legacy form taking an explicit accessor list (the micro-benchmark's
-  /// O(n_active) scan); partitions the refs into the shards' buckets and
-  /// resolves identically. The caller must have drained the wheels for t.
-  void resolve_slot(Slot t, std::span<const ActiveRef> accessors);
-
   /// Accounts a maximal access-free active span [lo, hi] (event engine).
   void account_quiet_span(Slot lo, Slot hi);
 
@@ -125,14 +118,6 @@ class SimCore {
 
   /// True iff no active packet will ever access the channel again.
   bool no_future_access() const noexcept;
-
-  /// Single-shard wheel accessor, kept for the micro-benchmarks' legacy
-  /// scan; only meaningful when shard_count() == 1 (asserted — with more
-  /// shards it would silently expose one S-th of the schedule).
-  AccessWheel& wheel() noexcept {
-    assert(shards_.size() == 1);
-    return shards_.front().wheel();
-  }
 
   /// O(n_active) recomputation of contention from the protocol objects
   /// (not the cached lanes); tests compare it against the incrementally

@@ -426,8 +426,8 @@ TEST(CounterRngBatch, CountSpanHonorsTheCapLikeTheReplayLoop) {
 }
 
 TEST(CounterRngBatch, ShortSpansMatchTheReplayLoopAcrossTheInlineCutoff) {
-  // Spans up to kInlineSpan coins are counted inline, longer ones by the
-  // kernels: both sides of the cutoff must equal the capped replay loop,
+  // Spans up to kInlineSpan coins are counted inline, longer ones in
+  // popcount blocks: both sides of the cutoff must equal the capped replay loop,
   // degenerate probabilities included.
   const CounterRng rng(31337, 4);
   const std::uint64_t cutoff = CounterRng::kInlineSpan;
@@ -469,6 +469,124 @@ TEST(CounterRngBatch, BernoulliThresholdReproducesTheDoubleCompare) {
           << "p=" << p << " x=" << x;
     }
   }
+}
+
+// CounterRng(9001).key(): the key the span goldens below depend on.
+constexpr std::uint64_t kKey9001 = 0x88cfe1f72ba5ca9fULL;
+
+// The per-slot loop count_jittered_band_span documents, with each product
+// in its own statement so no compiler can fuse it into the subtraction
+// or addition (the library builds its replay with -ffp-contract=off).
+std::uint64_t jittered_band_reference(const CounterRng& rng, std::uint64_t lo, std::uint64_t hi,
+                                      double contention, double band_lo, double band_hi,
+                                      double jitter, double rate, std::uint64_t cap) {
+  std::uint64_t n = 0;
+  for (std::uint64_t t = lo; t <= hi && n < cap; ++t) {
+    const double push_lo = jitter * rng.draw_double(t, 1);
+    const double push_hi = jitter * rng.draw_double(t, 2);
+    const double lo_t = band_lo - push_lo;
+    const double hi_t = band_hi + push_hi;
+    if (!(contention < lo_t || contention > hi_t)) n += rng.bernoulli(t, rate, 0);
+  }
+  return n;
+}
+
+TEST(CounterRngBatch, SpanGoldens) {
+  const CounterRng rng(9001);
+  ASSERT_EQ(rng.key(), kKey9001);
+  EXPECT_EQ(rng.count_bernoulli_span(0, 999, 0.25, ~0ULL, 0), 253u);
+  EXPECT_EQ(rng.count_bernoulli_span(123, 70000, 0.01, ~0ULL, 3), 687u);
+  EXPECT_EQ(rng.count_bernoulli_span(5, 5000, 0.999, 1234, 1), 1234u);
+  EXPECT_EQ(rng.count_bernoulli_span(1000000, 1131071, 0.5, ~0ULL, 0), 65768u);
+
+  EXPECT_EQ(rng.count_jittered_band_span(0, 9999, 1.25, 1.0, 3.0, 0.75, 0.5), 4951u);
+  EXPECT_EQ(rng.count_jittered_band_span(42, 31000, 0.9, 1.0, 3.0, 0.25, 0.9), 16743u);
+  EXPECT_EQ(rng.count_jittered_band_span(7, 20006, 3.1, 1.0, 3.0, 0.5, 0.3, 500), 500u);
+}
+
+TEST(CounterRngBatch, RandomizedSpanMatchesPerSlotLoopMillionCoins) {
+  // ~2000 random spans x ~500 coins: a million randomized (key, counter,
+  // lane) triples, on both sides of the inline cutoff. Caps land
+  // mid-span about half the time.
+  Rng meta(0x51D0C01Eu);
+  std::uint64_t coins = 0;
+  while (coins < 1000000) {
+    const CounterRng rng(meta.next_u64());
+    const std::uint64_t lo = meta.next_u64() >> 4;  // keep lo + len far from 2^64
+    const std::uint64_t len = 1 + meta.next_below(1000);
+    const std::uint64_t hi = lo + len - 1;
+    const std::uint64_t lane = meta.next_below(5);
+    const double p = meta.next_double();
+    const std::uint64_t cap = meta.bernoulli(0.5) ? 1 + meta.next_below(len) : ~0ULL;
+    std::uint64_t want = 0;
+    for (std::uint64_t c = lo; c <= hi && want < cap; ++c) want += rng.bernoulli(c, p, lane);
+    ASSERT_EQ(rng.count_bernoulli_span(lo, hi, p, cap, lane), want)
+        << "key=" << rng.key() << " lo=" << lo << " len=" << len << " p=" << p
+        << " lane=" << lane << " cap=" << cap;
+    coins += len;
+  }
+}
+
+TEST(CounterRngBatch, RandomizedJitteredBandMatchesPerSlotLoop) {
+  Rng meta(0x1A77E12u);
+  for (int round = 0; round < 600; ++round) {
+    const CounterRng rng(meta.next_u64());
+    const std::uint64_t lo = meta.next_u64() >> 4;
+    const std::uint64_t len = 1 + meta.next_below(2000);
+    const std::uint64_t hi = lo + len - 1;
+    const double band_lo = meta.next_double() * 4.0;
+    const double band_hi = band_lo + meta.next_double() * 4.0;
+    const double jitter = meta.bernoulli(0.2) ? 0.0 : meta.next_double();
+    // Contention lands inside, near an edge, or out of reach.
+    const double contention =
+        band_lo - 2.0 * jitter + meta.next_double() * (band_hi - band_lo + 4.0 * jitter + 0.25);
+    const double rate = meta.next_double();
+    const std::uint64_t cap = meta.bernoulli(0.5) ? 1 + meta.next_below(len) : ~0ULL;
+    ASSERT_EQ(rng.count_jittered_band_span(lo, hi, contention, band_lo, band_hi, jitter, rate,
+                                           cap),
+              jittered_band_reference(rng, lo, hi, contention, band_lo, band_hi, jitter, rate,
+                                      cap))
+        << "key=" << rng.key() << " lo=" << lo << " len=" << len << " band=[" << band_lo << ","
+        << band_hi << "] j=" << jitter << " c=" << contention << " cap=" << cap;
+  }
+}
+
+TEST(CounterRngBatch, SpanWrappersMatchPerSlotReplay) {
+  // The CounterRng entry points (what the jammers call) must equal the
+  // naive per-slot loops they replaced.
+  const CounterRng rng(9001, 7);
+  const double rate = 0.37;
+  std::uint64_t naive = 0;
+  for (std::uint64_t t = 2000; t <= 4500; ++t) {
+    naive += static_cast<std::uint64_t>(rng.bernoulli(t, rate, 2));
+  }
+  EXPECT_EQ(rng.count_bernoulli_span(2000, 4500, rate, ~0ULL, 2), naive);
+
+  // Jittered: per-slot calls (cap=1, the jam() path) must sum to the span
+  // call (the count_quiet_range path) — the property that keeps the slot
+  // engine and the event engine trace-equivalent.
+  const double band_lo = 1.0;
+  const double band_hi = 3.0;
+  const double jitter = 0.6;
+  const double contention = 0.8;
+  std::uint64_t per_slot = 0;
+  for (std::uint64_t t = 100; t <= 3100; ++t) {
+    per_slot += rng.count_jittered_band_span(t, t, contention, band_lo, band_hi, jitter, rate, 1);
+  }
+  EXPECT_EQ(rng.count_jittered_band_span(100, 3100, contention, band_lo, band_hi, jitter, rate),
+            per_slot);
+}
+
+TEST(CounterRngBatch, FullRangeSpanQuirkIsPinned) {
+  // lo=0, hi=2^64-1 wraps the span length to 0. The two spans disagree
+  // about what that means — count_bernoulli_span's block loop computes
+  // `hi - c + 1`, sees 0, and returns 0; the jittered loop never forms a
+  // length, so it walks slots until the cap stops it. Both behaviours are
+  // pinned, not "fixed".
+  const CounterRng rng(9001);
+  EXPECT_EQ(rng.count_bernoulli_span(0, ~0ULL, 0.5, 10, 0), 0u);
+  // Cap reached: contention sits inside the band.
+  EXPECT_EQ(rng.count_jittered_band_span(0, ~0ULL, 1.5, 1.0, 2.0, 0.5, 0.5, 10), 10u);
 }
 
 TEST(CounterRng, BernoulliWithKeyMatchesBernoulli) {

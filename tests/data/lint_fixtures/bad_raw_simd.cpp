@@ -1,6 +1,6 @@
-// Fixture: raw SIMD intrinsics outside src/core/rng_simd.*. Ad-hoc
-// vector code bypasses the CoinKernels dispatch table, so nothing proves
-// it bit-identical to the scalar reference across hosts and tiers.
+// Fixture: raw SIMD intrinsics in src/. Vector code can fuse or reorder
+// FP math per host, and nothing proves it bit-identical to the scalar
+// coin replay, so the rule bans it everywhere.
 // expect-lint: raw-simd
 #include <immintrin.h>
 
