@@ -589,6 +589,139 @@ TEST(CounterRngBatch, FullRangeSpanQuirkIsPinned) {
   EXPECT_EQ(rng.count_jittered_band_span(0, ~0ULL, 1.5, 1.0, 2.0, 0.5, 0.5, 10), 10u);
 }
 
+TEST(CounterRngBatch, SpanEndingAtTheCounterTopStopsThere) {
+  // hi = 2^64-1: the block loop's `c + block - 1 == hi` exit must stop the
+  // walk before `c += block` wraps, for lengths on both sides of the
+  // inline cutoff and of the 64-coin block edges.
+  const CounterRng rng(9001, 2);
+  for (const std::uint64_t len : {1ULL, 8ULL, 9ULL, 63ULL, 64ULL, 65ULL, 128ULL, 130ULL, 1000ULL}) {
+    const std::uint64_t lo = ~0ULL - len + 1;
+    for (const double p : {0.2, 0.5, 0.95}) {
+      std::uint64_t want = 0;
+      for (std::uint64_t i = 0; i < len; ++i) want += rng.bernoulli(lo + i, p, 1);
+      EXPECT_EQ(rng.count_bernoulli_span(lo, ~0ULL, p, ~0ULL, 1), want)
+          << "len=" << len << " p=" << p;
+    }
+  }
+}
+
+TEST(CounterRngBatch, SpansAreAdditiveOverSplitPoints) {
+  // The popcount blocks start at lo, not at a multiple of 64: splitting a
+  // span anywhere (on or off a block edge) must not change the total.
+  Rng meta(0x5B117u);
+  for (int trial = 0; trial < 300; ++trial) {
+    const CounterRng rng(meta.next_u64());
+    const std::uint64_t lo = meta.next_u64() >> 8;
+    const std::uint64_t len = 2 + meta.next_below(600);
+    const std::uint64_t hi = lo + len - 1;
+    const std::uint64_t mid =
+        trial % 3 == 0 ? lo + std::min<std::uint64_t>(63, len - 2) : lo + meta.next_below(len - 1);
+    const double p = meta.next_double();
+    const std::uint64_t lane = meta.next_below(4);
+    EXPECT_EQ(rng.count_bernoulli_span(lo, hi, p, ~0ULL, lane),
+              rng.count_bernoulli_span(lo, mid, p, ~0ULL, lane) +
+                  rng.count_bernoulli_span(mid + 1, hi, p, ~0ULL, lane))
+        << "trial=" << trial << " len=" << len << " split=" << mid - lo;
+    const double jitter = meta.next_double();
+    const double contention = 1.0 - jitter * meta.next_double();
+    EXPECT_EQ(rng.count_jittered_band_span(lo, hi, contention, 1.0, 2.0, jitter, p),
+              rng.count_jittered_band_span(lo, mid, contention, 1.0, 2.0, jitter, p) +
+                  rng.count_jittered_band_span(mid + 1, hi, contention, 1.0, 2.0, jitter, p))
+        << "trial=" << trial << " len=" << len << " split=" << mid - lo;
+  }
+}
+
+TEST(CounterRngBatch, CappedSpanIsTheMinOfTotalAndCap) {
+  // Counting is monotone, so stopping at the cap equals min(total, cap)
+  // for every cap — the property both spans use to check the cap once
+  // per block (or once at the end) instead of once per coin.
+  const CounterRng rng(606);
+  const std::uint64_t total = rng.count_bernoulli_span(100, 1099, 0.07, ~0ULL, 0);
+  const std::uint64_t band_total =
+      rng.count_jittered_band_span(100, 1099, 0.9, 1.0, 2.0, 0.3, 0.4, ~0ULL);
+  ASSERT_GT(total, 0u);
+  ASSERT_GT(band_total, 0u);
+  for (std::uint64_t cap = 0; cap <= total + 2; ++cap) {
+    EXPECT_EQ(rng.count_bernoulli_span(100, 1099, 0.07, cap, 0), std::min(total, cap))
+        << "cap=" << cap;
+  }
+  for (std::uint64_t cap = 0; cap <= band_total + 2; ++cap) {
+    EXPECT_EQ(rng.count_jittered_band_span(100, 1099, 0.9, 1.0, 2.0, 0.3, 0.4, cap),
+              std::min(band_total, cap))
+        << "cap=" << cap;
+  }
+}
+
+TEST(CounterRngBatch, JitteredBandEdgeCases) {
+  const CounterRng rng(5);
+  EXPECT_EQ(rng.count_jittered_band_span(10, 9, 1.5, 1.0, 2.0, 0.5, 0.5), 0u);  // empty span
+  EXPECT_EQ(rng.count_jittered_band_span(0, 999, 1.5, 1.0, 2.0, 0.5, 0.5, 0), 0u);
+  EXPECT_EQ(rng.count_jittered_band_span(0, 999, 1.5, 1.0, 2.0, 0.5, 0.0), 0u);
+  EXPECT_EQ(rng.count_jittered_band_span(0, 999, 1.5, 1.0, 2.0, 0.5, -1.0), 0u);
+  // Rate 1 inside the unjittered band jams every slot, up to the cap.
+  EXPECT_EQ(rng.count_jittered_band_span(0, 999, 1.5, 1.0, 2.0, 0.5, 1.0), 1000u);
+  EXPECT_EQ(rng.count_jittered_band_span(0, 999, 1.5, 1.0, 2.0, 0.5, 1.0, 300), 300u);
+  EXPECT_EQ(rng.count_jittered_band_span(42, 42, 1.5, 1.0, 2.0, 0.5, 0.5),
+            rng.bernoulli(42, 0.5, 0) ? 1u : 0u);
+}
+
+TEST(CounterRngBatch, JitteredBandWithoutJitterIsTheLaneZeroCoin) {
+  // jitter = 0 fixes the band, so the replay reduces to the lane-0 rate
+  // coin inside [band_lo, band_hi] (edges inclusive) and nothing outside:
+  // the identity RandomContentionJammer's jitter-free path relies on.
+  const CounterRng rng(4242, 3);
+  for (const double contention : {1.0, 1.25, 2.0}) {
+    for (const std::uint64_t cap : {1ULL, 17ULL, ~0ULL}) {
+      EXPECT_EQ(rng.count_jittered_band_span(50, 2049, contention, 1.0, 2.0, 0.0, 0.3, cap),
+                rng.count_bernoulli_span(50, 2049, 0.3, cap, 0))
+          << "contention=" << contention << " cap=" << cap;
+    }
+  }
+  for (const double contention : {0.0, std::nextafter(1.0, 0.0), std::nextafter(2.0, 3.0), 9.0}) {
+    EXPECT_EQ(rng.count_jittered_band_span(50, 2049, contention, 1.0, 2.0, 0.0, 0.3), 0u)
+        << "contention=" << contention;
+  }
+}
+
+TEST(CounterRngBatch, JitteredBandReachEndsAtTheFullJitter) {
+  // Each edge moves outward by jitter * u with u in [0, 1), so contention
+  // at or beyond band_lo - jitter / band_hi + jitter is never jammed (the
+  // reach check in count_quiet_range skips those spans), while contention
+  // just inside the reach is jammed at some slots.
+  const CounterRng rng(777);
+  const double jitter = 0.5;
+  for (const double contention : {0.5, 0.25, 2.5, 3.0}) {
+    EXPECT_EQ(rng.count_jittered_band_span(0, 19999, contention, 1.0, 2.0, jitter, 1.0), 0u)
+        << "contention=" << contention;
+  }
+  for (const double contention : {0.55, 2.45}) {
+    EXPECT_GT(rng.count_jittered_band_span(0, 19999, contention, 1.0, 2.0, jitter, 1.0), 0u)
+        << "contention=" << contention;
+  }
+}
+
+TEST(CounterRngBatch, SpanMeansMatchTheirRates) {
+  // The integer threshold must not bias the coin: a long span counts
+  // p * len successes within five standard deviations. For the jittered
+  // band, contention at band_lo - jitter / 2 is inside the band exactly
+  // when the lane-1 draw is >= 1/2, so the jam rate halves.
+  const CounterRng rng(2024, 1);
+  const std::uint64_t len = 400000;
+  const auto within_five_sigma = [len](std::uint64_t count, double p) {
+    const double mean = p * static_cast<double>(len);
+    const double sd = std::sqrt(mean * (1.0 - p));
+    return std::fabs(static_cast<double>(count) - mean) <= 5.0 * sd;
+  };
+  for (const double p : {0.01, 0.3, 0.77}) {
+    const std::uint64_t n = rng.count_bernoulli_span(1000, 1000 + len - 1, p, ~0ULL, 2);
+    EXPECT_TRUE(within_five_sigma(n, p)) << "p=" << p << " count=" << n;
+  }
+  const std::uint64_t inside = rng.count_jittered_band_span(0, len - 1, 1.5, 1.0, 2.0, 0.4, 0.6);
+  EXPECT_TRUE(within_five_sigma(inside, 0.6)) << "count=" << inside;
+  const std::uint64_t half = rng.count_jittered_band_span(0, len - 1, 0.8, 1.0, 2.0, 0.4, 0.6);
+  EXPECT_TRUE(within_five_sigma(half, 0.3)) << "count=" << half;
+}
+
 TEST(CounterRng, BernoulliWithKeyMatchesBernoulli) {
   // The keyless branch-free coin (phase 1's send draw) must agree with the
   // member bernoulli, early outs included: p <= 0, p >= 1, NaN, and the
