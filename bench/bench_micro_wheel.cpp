@@ -1,10 +1,11 @@
 // M2 · AccessWheel micro-benchmarks (google-benchmark).
 //
 // Measures the timing-wheel accessor index on its own (schedule / pop /
-// next-event scan, near-future ring vs. far-future overflow) and the
-// wheel-backed slot engine end to end.
+// next-event scan, near-future ring vs. far-future overflow, steady churn
+// of a live population) and the wheel-backed slot engine end to end.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "adversary/arrivals.hpp"
@@ -75,6 +76,37 @@ void BM_WheelNextScheduledScan(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(wheel.next_scheduled());
 }
 BENCHMARK(BM_WheelNextScheduledScan);
+
+void BM_WheelChurn(benchmark::State& state) {
+  // `live` ids stay scheduled; each popped id is re-scheduled at a gap in
+  // [1, 8192], so buckets fill and drain on both the ring and level 2 and
+  // chunks cycle through the pools' free lists. Gaps come from a
+  // SplitMix64 stream seeded at run time.
+  const auto live = static_cast<std::uint32_t>(state.range(0));
+  AccessWheel wheel;
+  std::uint64_t x = static_cast<std::uint64_t>(state.range(0));
+  auto gap = [&x] {
+    x += 0x9E3779B97F4A7C15ULL;
+    std::uint64_t z = x;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return 1 + ((z ^ (z >> 31)) & 8191);
+  };
+  for (std::uint32_t id = 0; id < live; ++id) wheel.schedule(id, gap());
+  std::vector<std::uint32_t> out;
+  std::uint64_t popped = 0;
+  for (auto _ : state) {
+    const Slot t = wheel.next_scheduled();
+    out.clear();
+    wheel.pop_slot(t, &out);
+    for (const std::uint32_t id : out) wheel.schedule(id, t + gap());
+    popped += out.size();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(popped));
+  state.counters["pool_chunks"] = static_cast<double>(wheel.pool_chunks());
+}
+BENCHMARK(BM_WheelChurn)->Arg(4096);
 
 void BM_SlotEngineBatch(benchmark::State& state) {
   // Wheel-backed slot engine on the classic batch workload. Cost is

@@ -1,5 +1,6 @@
 #include "metrics/trace.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <ostream>
@@ -9,8 +10,9 @@ namespace lowsense {
 
 void TraceCapture::push(TraceEvent ev) {
   if (max_events_ != 0 && events_.size() >= max_events_) {
-    // Drop the oldest half in one go to amortize the erase cost.
-    const std::size_t drop = events_.size() / 2;
+    // Drop the oldest half in one go to amortize the erase cost, and at
+    // least enough that the push below keeps size <= max_events_.
+    const std::size_t drop = std::max(events_.size() / 2, events_.size() + 1 - max_events_);
     events_.erase(events_.begin(), events_.begin() + static_cast<std::ptrdiff_t>(drop));
     dropped_ += drop;
   }

@@ -41,14 +41,14 @@ std::size_t scan_from(const std::uint64_t* bits, std::size_t start) noexcept {
 AccessWheel::AccessWheel() : ring_(kWindow), l2_(kWindow), l2_min_(kWindow, kNoSlot) {}
 
 void AccessWheel::ring_insert(std::uint32_t id, Slot slot) {
-  ring_[slot & kMask].push_back(id);
+  ids_.push(ring_[slot & kMask], id);
   set_bit(occupied_, slot & kMask);
   ++ring_count_;
 }
 
 void AccessWheel::l2_insert(Entry e) {
   const std::size_t pos = (e.slot >> kLogWindow) & kMask;
-  l2_[pos].push_back(e);
+  entries_.push(l2_[pos], e);
   if (e.slot < l2_min_[pos]) l2_min_[pos] = e.slot;
   set_bit(l2_occupied_, pos);
   ++l2_count_;
@@ -66,7 +66,7 @@ void AccessWheel::schedule(std::uint32_t id, Slot slot) {
     l2_insert({slot, id});
   } else {
     FarBucket& fb = far_[c];
-    fb.entries.push_back({slot, id});
+    entries_.push(fb.entries, {slot, id});
     if (slot < fb.min_slot) fb.min_slot = slot;
   }
 }
@@ -77,7 +77,12 @@ void AccessWheel::migrate() {
   while (!far_.empty() && far_.begin()->first < cc + kWindow) {
     const auto it = far_.begin();
     assert(it->first >= cc && "far bucket left behind a cursor jump");
-    for (const Entry& e : it->second.entries) l2_insert(e);
+    // l2_insert pushes into the pool `e` points into: copy first.
+    entries_.drain(it->second.entries, [this](const Entry* e, std::size_t n) {
+      Entry chunk[kChunk];
+      std::copy_n(e, n, chunk);
+      for (std::size_t i = 0; i < n; ++i) l2_insert(chunk[i]);
+    });
     far_.erase(it);
   }
   // Level 2 -> ring: flush the coarse bucket the cursor sits in. Every
@@ -89,15 +94,16 @@ void AccessWheel::migrate() {
   // them, so the engines still pop those slots on time.
   if (l2_count_ != 0) {
     const std::size_t pos = cc & kMask;
-    std::vector<Entry>& bucket = l2_[pos];
-    if (!bucket.empty()) {
+    EntryChain& bucket = l2_[pos];
+    if (bucket.size != 0) {
       assert(l2_min_[pos] >> kLogWindow == cc);
-      for (const Entry& e : bucket) {
-        assert(e.slot >= cursor_ && in_window(e.slot));
-        ring_insert(e.id, e.slot);
-      }
-      l2_count_ -= bucket.size();
-      bucket.clear();
+      l2_count_ -= bucket.size;
+      entries_.drain(bucket, [this](const Entry* e, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+          assert(e[i].slot >= cursor_ && in_window(e[i].slot));
+          ring_insert(e[i].id, e[i].slot);
+        }
+      });
       l2_min_[pos] = kNoSlot;
       clear_bit(l2_occupied_, pos);
     }
@@ -112,12 +118,13 @@ void AccessWheel::pop_slot(Slot t, std::vector<std::uint32_t>* out) {
     cursor_ = t;
     migrate();
   }
-  std::vector<std::uint32_t>& bucket = ring_[t & kMask];
-  if (!bucket.empty()) {
-    out->insert(out->end(), bucket.begin(), bucket.end());
-    size_ -= bucket.size();
-    ring_count_ -= bucket.size();
-    bucket.clear();
+  IdChain& bucket = ring_[t & kMask];
+  if (bucket.size != 0) {
+    size_ -= bucket.size;
+    ring_count_ -= bucket.size;
+    ids_.drain(bucket, [out](const std::uint32_t* ids, std::size_t n) {
+      out->insert(out->end(), ids, ids + n);
+    });
     clear_bit(occupied_, t & kMask);
   }
   cursor_ = t + 1;

@@ -1,6 +1,8 @@
 // Slab/SoA packet storage with free-list id recycling — the open-system
 // refactor that lets resident memory track the LIVE backlog instead of
-// the arrival horizon.
+// the arrival horizon. The shard's other per-packet structure, its
+// AccessWheel, follows the same rule: its bucket chunks return to a pool
+// free list on every pop and migration (see access_wheel.hpp).
 //
 // IDENTITY VS PLACEMENT. A packet has two distinct numbers:
 //

@@ -9,12 +9,14 @@
 // layout, see packet_store.hpp). Arrivals stream in from the pull-based
 // ArrivalProcess as the run advances — nothing is materialized up front —
 // and with config.reclaim (the default) a departed packet's slab returns
-// to its shard's free list at the end of the slot it departed in, so
-// resident memory is proportional to the live backlog even on unbounded
-// arrival streams. Identity is the logical PacketId (injection sequence
-// number, never reused): it keys the gap stream and the slot-keyed send
-// coins, decides the owning shard (id % S), and defines the canonical
-// order below, so reclamation cannot change any observable result.
+// to its shard's free list at the end of the slot it departed in, and
+// each shard's AccessWheel hands a bucket's chunks back to its pool when
+// the bucket is popped or migrated, so resident memory is proportional to
+// the live backlog even on unbounded arrival streams. Identity is the
+// logical PacketId (injection sequence number, never reused): it keys the
+// gap stream and the slot-keyed send coins, decides the owning shard
+// (id % S), and defines the canonical order below, so reclamation cannot
+// change any observable result.
 //
 // SHARDING. A run with config.shards = S splits the packet population
 // over S PacketShards (packet id -> shard id % S) and resolves each slot

@@ -94,6 +94,22 @@ TEST(TraceCapture, BoundedRetentionDropsOldest) {
   }
 }
 
+TEST(TraceCapture, TinyCapsNeverExceedTheirBound) {
+  // Halving a one-event trace drops nothing, so the cap must bound the drop.
+  for (const std::size_t cap : {1u, 2u, 3u}) {
+    TraceCapture trace(cap);
+    const Counters c;
+    for (Slot t = 0; t < 9; ++t) {
+      SlotInfo info;
+      info.slot = t;
+      trace.on_slot(info, c);
+      ASSERT_LE(trace.events().size(), cap) << "cap " << cap << " after slot " << t;
+      ASSERT_EQ(trace.events().size() + trace.dropped(), t + 1) << "cap " << cap;
+      EXPECT_EQ(trace.events().back().slot, t) << "cap " << cap;
+    }
+  }
+}
+
 TEST(TraceCapture, SuccessEventsHaveOneSender) {
   TraceCapture trace;
   run_with_trace(trace, 50, 13);

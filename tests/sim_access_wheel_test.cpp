@@ -1,10 +1,13 @@
 // Unit tests of the AccessWheel: ring/overflow placement, window-slide
-// migration, cursor advancement, and next-event queries — the invariants
-// both engines lean on for accessor lookup.
+// migration, cursor advancement, next-event queries, FIFO order across
+// chunk boundaries and chunk-pool recycling — the invariants both engines
+// lean on for accessor lookup.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <map>
+#include <numeric>
 #include <random>
 #include <vector>
 
@@ -151,6 +154,120 @@ TEST(AccessWheel, NextScheduledWrapsAroundRing) {
   EXPECT_EQ(pop(w, wrapped), (std::vector<std::uint32_t>{6}));
 }
 
+std::vector<std::uint32_t> iota_ids(std::uint32_t first, std::uint32_t n) {
+  std::vector<std::uint32_t> ids(n);
+  std::iota(ids.begin(), ids.end(), first);
+  return ids;
+}
+
+// Bucket sizes on both sides of every chunk boundary.
+constexpr std::uint32_t kChunk = AccessWheel::kChunk;
+constexpr std::uint32_t kBucketSizes[] = {
+    1, kChunk - 1, kChunk, kChunk + 1, 2 * kChunk, 2 * kChunk + 1, 100};
+
+TEST(AccessWheel, SlotPopsInSchedulingOrderAcrossChunkBoundariesOnEveryLevel) {
+  // Ring (in window), level 2 (>= kWindow ahead) and the far map
+  // (>= kCoarseSpan ahead); the cursor jumps straight to the slot, so the
+  // level-2/far entries reach the ring through one migration chain.
+  const Slot targets[] = {7, AccessWheel::kWindow + 7, AccessWheel::kCoarseSpan + 7,
+                          3 * AccessWheel::kCoarseSpan + 7};
+  for (const Slot target : targets) {
+    for (const std::uint32_t n : kBucketSizes) {
+      AccessWheel w;
+      for (std::uint32_t id = 0; id < n; ++id) w.schedule(id, target);
+      EXPECT_EQ(w.next_scheduled(), target);
+      EXPECT_EQ(pop(w, target), iota_ids(0, n)) << "slot " << target << " size " << n;
+      EXPECT_TRUE(w.empty());
+    }
+  }
+}
+
+TEST(AccessWheel, RingDirectEntriesPopBeforeMigratedOnes) {
+  // `s` parks in level 2; once the cursor puts it inside the ring window
+  // (but before it enters its coarse bucket) new entries go straight into
+  // the ring. Popping `s` migrates the parked chain behind them.
+  for (const std::uint32_t parked : kBucketSizes) {
+    for (const std::uint32_t direct : kBucketSizes) {
+      AccessWheel w;
+      const Slot s = AccessWheel::kWindow + 9;
+      for (std::uint32_t i = 0; i < parked; ++i) w.schedule(1000 + i, s);
+      for (Slot t = 0; t < 20; ++t) ASSERT_TRUE(pop(w, t).empty());
+      for (std::uint32_t i = 0; i < direct; ++i) w.schedule(i, s);
+      std::vector<std::uint32_t> want = iota_ids(0, direct);
+      const std::vector<std::uint32_t> migrated = iota_ids(1000, parked);
+      want.insert(want.end(), migrated.begin(), migrated.end());
+      EXPECT_EQ(pop(w, s), want) << "parked " << parked << " direct " << direct;
+    }
+  }
+}
+
+TEST(AccessWheel, GiantJumpDrainsFarChainsIntoTheirOwnPool) {
+  // Far -> level-2 migration pushes into the entry pool it is draining.
+  // The pool starts the jump exactly full (3 + 1 chunks, a power-of-two
+  // capacity), so the first push that needs a fresh chunk reallocates
+  // the chunk storage under the drain.
+  AccessWheel w;
+  const Slot a = 2 * AccessWheel::kCoarseSpan + 5;
+  const Slot b = a + 3 * AccessWheel::kWindow;
+  for (std::uint32_t id = 0; id < 2 * kChunk + 1; ++id) w.schedule(id, a);
+  w.schedule(500, b);
+  EXPECT_EQ(w.pool_chunks(), 4u);
+  EXPECT_EQ(pop(w, a), iota_ids(0, 2 * kChunk + 1));
+  EXPECT_EQ(w.next_scheduled(), b);
+  EXPECT_EQ(pop(w, b), (std::vector<std::uint32_t>{500}));
+  EXPECT_TRUE(w.empty());
+}
+
+TEST(AccessWheel, PoolStaysWithinPeakLiveChunks) {
+  // A 4096-id burst into one slot, then 4096 ids over 4096 slots, then
+  // the burst again. Live chunks peak at max(4096 / kChunk, 4096) = 4096;
+  // per-bucket storage would keep each bucket's largest burst on top.
+  AccessWheel w;
+  const std::uint32_t n = 4096;
+  std::size_t peak_live = 0;
+  Slot t = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (std::uint32_t id = 0; id < n; ++id) w.schedule(id, t);
+    peak_live = std::max<std::size_t>(peak_live, n / kChunk);
+    EXPECT_LE(w.pool_chunks(), peak_live);
+    EXPECT_EQ(pop(w, t).size(), n);
+    ++t;
+    for (std::uint32_t id = 0; id < n; ++id) w.schedule(id, t + id);
+    peak_live = std::max<std::size_t>(peak_live, n);
+    EXPECT_LE(w.pool_chunks(), peak_live);
+    for (std::uint32_t id = 0; id < n; ++id) ASSERT_EQ(pop(w, t + id).size(), 1u);
+    t += n;
+    EXPECT_TRUE(w.empty());
+  }
+  EXPECT_EQ(w.pool_chunks(), n);
+}
+
+TEST(AccessWheel, RepeatedPatternDoesNotGrowThePool) {
+  // One pattern touching every level: bursts into the ring, level 2 and
+  // the far map, popped to empty. After the first round every chunk comes
+  // off the free lists.
+  AccessWheel w;
+  Slot t = 0;
+  std::size_t after_first = 0;
+  for (int round = 0; round < 5; ++round) {
+    const Slot near = t + 3;
+    const Slot coarse = t + 2 * AccessWheel::kWindow + 1;
+    const Slot far = t + AccessWheel::kCoarseSpan + 2 * AccessWheel::kWindow;
+    for (std::uint32_t id = 0; id < 100; ++id) {
+      w.schedule(id, near);
+      w.schedule(1000 + id, coarse);
+      w.schedule(2000 + id, far);
+    }
+    EXPECT_EQ(pop(w, near).size(), 100u);
+    EXPECT_EQ(pop(w, coarse).size(), 100u);
+    EXPECT_EQ(pop(w, far).size(), 100u);
+    EXPECT_TRUE(w.empty());
+    if (round == 0) after_first = w.pool_chunks();
+    EXPECT_EQ(w.pool_chunks(), after_first) << "round " << round;
+    t = far + 1;
+  }
+}
+
 TEST(AccessWheel, RandomizedAgainstReferenceMap) {
   // Model: a multimap slot -> ids. Drive schedule/pop in cursor order with
   // random near/far offsets and spot-check next_scheduled throughout.
@@ -214,6 +331,80 @@ TEST(AccessWheel, RandomizedAgainstReferenceMap) {
       for (const auto& [s, ids] : model) n += ids.size();
       return n;
     }()) << "step " << step;
+  }
+}
+
+TEST(AccessWheel, RandomizedBurstsAgainstReferenceMap) {
+  // Like RandomizedAgainstReferenceMap, but each step schedules a burst
+  // of 0-40 ids into 1-3 slots, so buckets span several chunks on every
+  // level and migrations move multi-chunk chains. A slot whose ids were
+  // all scheduled straight into the ring must pop in scheduling order;
+  // other slots are compared as sets.
+  std::mt19937_64 gen(321);
+  auto uniform = [&gen](std::uint64_t lo, std::uint64_t hi) {
+    return std::uniform_int_distribution<std::uint64_t>(lo, hi)(gen);
+  };
+
+  AccessWheel w;
+  std::map<Slot, std::vector<std::uint32_t>> model;
+  std::map<Slot, bool> direct_only;  ///< every id scheduled in-window
+  std::uint64_t live = 0;
+  Slot t = 0;
+  std::uint32_t next_id = 0;
+
+  for (int step = 0; step < 4000; ++step) {
+    const std::uint64_t burst = uniform(0, 40);
+    Slot targets[3];
+    const std::uint64_t k = uniform(1, 3);
+    for (std::uint64_t j = 0; j < k; ++j) {
+      switch (uniform(0, 4)) {
+        case 0: targets[j] = t + uniform(0, 8); break;
+        case 1: targets[j] = t + uniform(0, AccessWheel::kWindow - 1); break;
+        case 2: targets[j] = t + AccessWheel::kWindow + uniform(0, 3 * AccessWheel::kWindow); break;
+        case 3: targets[j] = t + uniform(0, 64 * AccessWheel::kWindow); break;
+        default: targets[j] = t + AccessWheel::kCoarseSpan + uniform(0, 4 * AccessWheel::kWindow);
+      }
+    }
+    for (std::uint64_t i = 0; i < burst; ++i) {
+      const Slot target = targets[uniform(0, k - 1)];
+      w.schedule(next_id, target);
+      model[target].push_back(next_id);
+      const bool direct = target - t < AccessWheel::kWindow;
+      auto [it, fresh] = direct_only.try_emplace(target, direct);
+      if (!fresh) it->second = it->second && direct;
+      ++next_id;
+      ++live;
+    }
+
+    const Slot expect_next = model.empty() ? kNoSlot : model.begin()->first;
+    ASSERT_EQ(w.next_scheduled(), expect_next) << "step " << step;
+
+    // Advance to the next event or by up to 2 slots, never past an event.
+    Slot target = t + uniform(0, 2);
+    if (!model.empty() && (uniform(0, 2) != 0 || target > model.begin()->first)) {
+      target = model.begin()->first;
+    }
+    std::vector<std::uint32_t> got;
+    w.pop_slot(target, &got);
+    std::vector<std::uint32_t> want;
+    bool exact = true;
+    if (auto it = model.find(target); it != model.end()) {
+      want = it->second;
+      exact = direct_only.at(target);
+      model.erase(it);
+      direct_only.erase(target);
+    }
+    if (exact) {
+      ASSERT_EQ(got, want) << "step " << step << " slot " << target;
+    } else {
+      std::sort(got.begin(), got.end());
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(got, want) << "step " << step << " slot " << target;
+    }
+    live -= got.size();
+    t = target + 1;
+    ASSERT_EQ(w.cursor(), t);
+    ASSERT_EQ(w.size(), live) << "step " << step;
   }
 }
 
