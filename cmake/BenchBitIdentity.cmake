@@ -11,6 +11,8 @@
 #   FLAG       knob to vary: "threads" (default) or "shards"
 #   THREADS    parallel value of the knob to compare against (default 8)
 #   WORK_DIR   scratch directory for the two captures
+#
+# Every failure message ends with the shell command that reproduces it.
 
 if(NOT DEFINED THREADS)
   set(THREADS 8)
@@ -23,20 +25,27 @@ get_filename_component(BENCH_NAME ${BENCH} NAME_WE)
 set(serial_out ${WORK_DIR}/${BENCH_NAME}_${FLAG}1.txt)
 set(parallel_out ${WORK_DIR}/${BENCH_NAME}_${FLAG}${THREADS}.txt)
 
+set(serial_cmd ${BENCH} ${BENCH_ARGS} --${FLAG}=1)
+set(parallel_cmd ${BENCH} ${BENCH_ARGS} --${FLAG}=${THREADS})
+string(JOIN " " serial_line ${serial_cmd})
+string(JOIN " " parallel_line ${parallel_cmd})
+
 execute_process(
-  COMMAND ${BENCH} ${BENCH_ARGS} --${FLAG}=1
+  COMMAND ${serial_cmd}
   OUTPUT_FILE ${serial_out}
   RESULT_VARIABLE rc_serial)
 if(NOT rc_serial EQUAL 0)
-  message(FATAL_ERROR "${BENCH_NAME} --${FLAG}=1 exited with ${rc_serial}")
+  message(FATAL_ERROR "${BENCH_NAME} --${FLAG}=1 exited with ${rc_serial}\n"
+                      "  reproduce: ${serial_line}")
 endif()
 
 execute_process(
-  COMMAND ${BENCH} ${BENCH_ARGS} --${FLAG}=${THREADS}
+  COMMAND ${parallel_cmd}
   OUTPUT_FILE ${parallel_out}
   RESULT_VARIABLE rc_parallel)
 if(NOT rc_parallel EQUAL 0)
-  message(FATAL_ERROR "${BENCH_NAME} --${FLAG}=${THREADS} exited with ${rc_parallel}")
+  message(FATAL_ERROR "${BENCH_NAME} --${FLAG}=${THREADS} exited with ${rc_parallel}\n"
+                      "  reproduce: ${parallel_line}")
 endif()
 
 execute_process(
@@ -45,5 +54,7 @@ execute_process(
 if(NOT rc_compare EQUAL 0)
   message(FATAL_ERROR
           "${BENCH_NAME}: --${FLAG}=1 vs --${FLAG}=${THREADS} stdout differs "
-          "(${serial_out} vs ${parallel_out})")
+          "(${serial_out} vs ${parallel_out})\n"
+          "  reproduce: ${serial_line} > ${serial_out} && "
+          "${parallel_line} > ${parallel_out} && diff ${serial_out} ${parallel_out}")
 endif()

@@ -15,6 +15,8 @@
 #   PACK_DIFF  full path of scripts/pack_diff.py
 #   PYTHON     python3 executable
 #   WORK_DIR   scratch directory for regenerated manifests
+#
+# Every failure message ends with the shell command that reproduces it.
 
 get_filename_component(PACK_NAME ${PACK} NAME_WE)
 file(MAKE_DIRECTORY ${WORK_DIR})
@@ -22,24 +24,30 @@ file(MAKE_DIRECTORY ${WORK_DIR})
 foreach(engine event slot)
   foreach(shards 1 4)
     set(candidate ${WORK_DIR}/${PACK_NAME}_${engine}_sh${shards}.manifest.jsonl)
+    set(run_cmd ${CLI} --pack=${PACK} --engine=${engine} --shards=${shards}
+                --manifest=${candidate})
+    string(JOIN " " run_line ${run_cmd})
     execute_process(
-      COMMAND ${CLI} --pack=${PACK} --engine=${engine} --shards=${shards}
-              --manifest=${candidate}
+      COMMAND ${run_cmd}
       OUTPUT_QUIET
       RESULT_VARIABLE rc_run)
     if(NOT rc_run EQUAL 0)
       message(FATAL_ERROR
               "${PACK_NAME}: --engine=${engine} --shards=${shards} exited with "
-              "${rc_run} (digest or expectation failure)")
+              "${rc_run} (digest or expectation failure)\n"
+              "  reproduce: ${run_line}")
     endif()
 
+    set(diff_cmd ${PYTHON} ${PACK_DIFF} ${GOLDEN} ${candidate})
+    string(JOIN " " diff_line ${diff_cmd})
     execute_process(
-      COMMAND ${PYTHON} ${PACK_DIFF} ${GOLDEN} ${candidate}
+      COMMAND ${diff_cmd}
       RESULT_VARIABLE rc_diff)
     if(NOT rc_diff EQUAL 0)
       message(FATAL_ERROR
               "${PACK_NAME}: manifest drift under --engine=${engine} "
-              "--shards=${shards} (${candidate} vs ${GOLDEN})")
+              "--shards=${shards} (${candidate} vs ${GOLDEN})\n"
+              "  reproduce: ${run_line} && ${diff_line}")
     endif()
   endforeach()
 endforeach()

@@ -1,8 +1,11 @@
 #include "harness/experiment.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace lowsense {
 
@@ -16,14 +19,64 @@ const char* engine_name(EngineKind kind) noexcept {
   return kind == EngineKind::kSlot ? "slot" : "event";
 }
 
+bool parse_u64_full(const std::string& text, std::uint64_t* out) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+  if (errno != 0 || end != text.c_str() + text.size()) return false;
+  *out = v;
+  return true;
+}
+
+bool parse_f64_full(const std::string& text, double* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) return false;
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (errno != 0 || end != text.c_str() + text.size()) return false;
+  *out = v;
+  return true;
+}
+
 namespace {
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::istringstream in(s);
-  std::string tok;
-  while (std::getline(in, tok, sep)) out.push_back(tok);
-  return out;
+/// A "kind:arg,arg,..." spec: its kind, its comma-separated arguments, and
+/// strict number reads of them — a read that fails clears `ok`.
+struct SpecArgs {
+  std::string kind;
+  std::vector<std::string> args;
+  bool ok = true;
+
+  explicit SpecArgs(const std::string& spec) : kind(spec.substr(0, spec.find(':'))) {
+    if (kind.size() == spec.size()) return;
+    std::istringstream in(spec.substr(kind.size() + 1));
+    for (std::string tok; std::getline(in, tok, ',');) args.push_back(tok);
+  }
+  std::uint64_t u64(std::size_t i) {
+    std::uint64_t v = 0;
+    ok = parse_u64_full(args[i], &v) && ok;
+    return v;
+  }
+  double f64(std::size_t i) {
+    double v = 0.0;
+    ok = parse_f64_full(args[i], &v) && ok;
+    return v;
+  }
+};
+
+/// `factory`, or nullptr when building one instance throws: constructors
+/// reject bad parameter values (rate outside [0,1], inverted band, ...),
+/// and callers expect a nullptr for ANY bad spec rather than a factory
+/// that throws later.
+template <typename Factory>
+Factory validated(Factory factory) {
+  try {
+    if (factory) factory(1);
+  } catch (const std::invalid_argument&) {
+    return nullptr;
+  }
+  return factory;
 }
 
 }  // namespace
@@ -33,96 +86,77 @@ std::function<std::unique_ptr<Jammer>(std::uint64_t)> parse_jammer_spec(const st
   if (spec.empty() || spec == "none") {
     return [](std::uint64_t) { return std::make_unique<NoJammer>(); };
   }
-  const auto colon = spec.find(':');
-  const std::string kind = spec.substr(0, colon);
-  const std::vector<std::string> args =
-      colon == std::string::npos ? std::vector<std::string>{} : split(spec.substr(colon + 1), ',');
-
+  SpecArgs a(spec);
+  const std::size_t n = a.args.size();
   std::function<std::unique_ptr<Jammer>(std::uint64_t)> factory;
-  try {
-    if (kind == "random" && !args.empty() && args.size() <= 2) {
-      const double rate = std::stod(args[0]);
-      const std::uint64_t budget = args.size() > 1 ? std::stoull(args[1]) : 0;
-      factory = [rate, budget, jam_seed](std::uint64_t seed) {
-        return std::make_unique<RandomJammer>(rate, budget, jammer_rng(jam_seed, seed, 0xb1));
-      };
-    } else if (kind == "burst" && args.size() == 2) {
-      const Slot period = std::stoull(args[0]);
-      const Slot len = std::stoull(args[1]);
-      factory = [period, len](std::uint64_t) { return std::make_unique<BurstJammer>(period, len); };
-    } else if (kind == "victim" && args.size() == 2) {
-      const PacketId id = std::stoull(args[0]);
-      const std::uint64_t budget = std::stoull(args[1]);
-      factory = [id, budget](std::uint64_t) {
-        return std::make_unique<ReactiveVictimJammer>(id, budget);
-      };
-    } else if (kind == "blanket" && args.size() == 1) {
-      const std::uint64_t budget = std::stoull(args[0]);
-      factory = [budget](std::uint64_t) { return std::make_unique<ReactiveBlanketJammer>(budget); };
-    } else if (kind == "band" && args.size() == 3) {
-      const double lo = std::stod(args[0]);
-      const double hi = std::stod(args[1]);
-      const std::uint64_t budget = std::stoull(args[2]);
-      factory = [lo, hi, budget](std::uint64_t) {
-        return std::make_unique<ContentionBandJammer>(lo, hi, budget);
-      };
-    } else if (kind == "randband" && args.size() >= 3 && args.size() <= 5) {
-      const double lo = std::stod(args[0]);
-      const double hi = std::stod(args[1]);
-      const double rate = std::stod(args[2]);
-      const std::uint64_t budget = args.size() > 3 ? std::stoull(args[3]) : 0;
-      const double jitter = args.size() > 4 ? std::stod(args[4]) : 0.0;
-      factory = [lo, hi, rate, budget, jitter, jam_seed](std::uint64_t seed) {
-        return std::make_unique<RandomContentionJammer>(lo, hi, rate, budget,
-                                                        jammer_rng(jam_seed, seed, 0xb2), jitter);
-      };
-    }
-    // Validate the parameter ranges eagerly: constructors throw on bad
-    // values (rate outside [0,1], inverted band, ...), and callers expect
-    // a nullptr for ANY bad spec rather than a throwing factory.
-    if (factory) factory(1);
-  } catch (const std::exception&) {
-    return nullptr;  // unparsable number or rejected parameter value
+  if (a.kind == "random" && n >= 1 && n <= 2) {
+    const double rate = a.f64(0);
+    const std::uint64_t budget = n > 1 ? a.u64(1) : 0;
+    factory = [rate, budget, jam_seed](std::uint64_t seed) {
+      return std::make_unique<RandomJammer>(rate, budget, jammer_rng(jam_seed, seed, 0xb1));
+    };
+  } else if (a.kind == "burst" && n == 2) {
+    const Slot period = a.u64(0);
+    const Slot len = a.u64(1);
+    factory = [period, len](std::uint64_t) { return std::make_unique<BurstJammer>(period, len); };
+  } else if (a.kind == "victim" && n == 2) {
+    const PacketId id = a.u64(0);
+    const std::uint64_t budget = a.u64(1);
+    factory = [id, budget](std::uint64_t) {
+      return std::make_unique<ReactiveVictimJammer>(id, budget);
+    };
+  } else if (a.kind == "blanket" && n == 1) {
+    const std::uint64_t budget = a.u64(0);
+    factory = [budget](std::uint64_t) { return std::make_unique<ReactiveBlanketJammer>(budget); };
+  } else if (a.kind == "band" && n == 3) {
+    const double lo = a.f64(0);
+    const double hi = a.f64(1);
+    const std::uint64_t budget = a.u64(2);
+    factory = [lo, hi, budget](std::uint64_t) {
+      return std::make_unique<ContentionBandJammer>(lo, hi, budget);
+    };
+  } else if (a.kind == "randband" && n >= 3 && n <= 5) {
+    const double lo = a.f64(0);
+    const double hi = a.f64(1);
+    const double rate = a.f64(2);
+    const std::uint64_t budget = n > 3 ? a.u64(3) : 0;
+    const double jitter = n > 4 ? a.f64(4) : 0.0;
+    factory = [lo, hi, rate, budget, jitter, jam_seed](std::uint64_t seed) {
+      return std::make_unique<RandomContentionJammer>(lo, hi, rate, budget,
+                                                      jammer_rng(jam_seed, seed, 0xb2), jitter);
+    };
   }
-  return factory;
+  return a.ok ? validated(std::move(factory)) : nullptr;
 }
 
 std::function<std::unique_ptr<ArrivalProcess>(std::uint64_t)> parse_arrivals_spec(
     const std::string& spec) {
-  const auto colon = spec.find(':');
-  const std::string kind = spec.substr(0, colon);
-  const std::vector<std::string> args =
-      colon == std::string::npos ? std::vector<std::string>{} : split(spec.substr(colon + 1), ',');
-
-  try {
-    if (kind == "batch" && args.size() == 1) {
-      const std::uint64_t n = std::stoull(args[0]);
-      return [n](std::uint64_t) { return std::make_unique<BatchArrivals>(n); };
-    }
-    if (kind == "poisson" && args.size() == 2) {
-      const double rate = std::stod(args[0]);
-      const std::uint64_t n = std::stoull(args[1]);
-      return [rate, n](std::uint64_t seed) {
-        return std::make_unique<PoissonArrivals>(rate, n, Rng::stream(seed, 0xa1));
-      };
-    }
-    if (kind == "aqt" && args.size() == 4) {
-      const double lambda = std::stod(args[0]);
-      const Slot s = std::stoull(args[1]);
-      AqtPattern pattern = AqtPattern::kFront;
-      if (args[2] == "spread") pattern = AqtPattern::kSpread;
-      else if (args[2] == "random") pattern = AqtPattern::kRandom;
-      else if (args[2] == "pulse") pattern = AqtPattern::kPulse;
-      else if (args[2] != "front") return nullptr;
-      const std::uint64_t n = std::stoull(args[3]);
-      return [=](std::uint64_t seed) {
-        return std::make_unique<AqtArrivals>(lambda, s, pattern, n, Rng::stream(seed, 0xa2));
-      };
-    }
-  } catch (const std::exception&) {
-    return nullptr;  // unparsable number in the spec
+  SpecArgs a(spec);
+  const std::size_t n = a.args.size();
+  std::function<std::unique_ptr<ArrivalProcess>(std::uint64_t)> factory;
+  if (a.kind == "batch" && n == 1) {
+    const std::uint64_t count = a.u64(0);
+    factory = [count](std::uint64_t) { return std::make_unique<BatchArrivals>(count); };
+  } else if (a.kind == "poisson" && n == 2) {
+    const double rate = a.f64(0);
+    const std::uint64_t count = a.u64(1);
+    factory = [rate, count](std::uint64_t seed) {
+      return std::make_unique<PoissonArrivals>(rate, count, Rng::stream(seed, 0xa1));
+    };
+  } else if (a.kind == "aqt" && n == 4) {
+    const double lambda = a.f64(0);
+    const Slot s = a.u64(1);
+    AqtPattern pattern = AqtPattern::kFront;
+    if (a.args[2] == "spread") pattern = AqtPattern::kSpread;
+    else if (a.args[2] == "random") pattern = AqtPattern::kRandom;
+    else if (a.args[2] == "pulse") pattern = AqtPattern::kPulse;
+    else if (a.args[2] != "front") return nullptr;
+    const std::uint64_t count = a.u64(3);
+    factory = [=](std::uint64_t seed) {
+      return std::make_unique<AqtArrivals>(lambda, s, pattern, count, Rng::stream(seed, 0xa2));
+    };
   }
-  return nullptr;
+  return a.ok ? validated(std::move(factory)) : nullptr;
 }
 
 RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,

@@ -41,6 +41,15 @@ inline CounterRng jammer_rng(std::uint64_t jam_seed, std::uint64_t seed,
   return CounterRng(jam_seed != 0 ? jam_seed : seed, stream);
 }
 
+/// Strict whole-string number parsers shared by the spec parsers below and
+/// the scenario-pack loader. parse_u64_full takes plain decimal digits
+/// only (no sign, no spaces: "-1" would otherwise wrap to 2^64-1);
+/// parse_f64_full takes anything strtod does except leading spaces. Both
+/// reject trailing characters ("1e3" as an integer, "0.3x") and out-of-
+/// range values, and leave *out untouched on failure.
+bool parse_u64_full(const std::string& text, std::uint64_t* out);
+bool parse_f64_full(const std::string& text, double* out);
+
 /// Parses a jammer spec (the value benches and the CLI accept for
 /// --jammer=) into a per-seed jammer factory:
 ///
@@ -60,7 +69,8 @@ std::function<std::unique_ptr<Jammer>(std::uint64_t seed)> parse_jammer_spec(
 ///   batch:N | poisson:rate,N | aqt:lambda,S,pattern,N
 ///   (pattern: spread|front|random|pulse)
 ///
-/// Returns nullptr on a malformed spec.
+/// Returns nullptr on a malformed spec, including parameter values the
+/// arrival-process constructors reject (validated eagerly, as for jammers).
 std::function<std::unique_ptr<ArrivalProcess>(std::uint64_t seed)> parse_arrivals_spec(
     const std::string& spec);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -22,26 +20,6 @@ std::string trim(const std::string& s) {
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
-}
-
-bool parse_u64_full(const std::string& text, std::uint64_t* out) {
-  if (text.empty() || text[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_f64_full(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
 }
 
 bool is_hex16(const std::string& s) {

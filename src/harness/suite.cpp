@@ -1,5 +1,6 @@
 #include "harness/suite.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -59,7 +60,8 @@ void print_usage(const BenchDef& def, std::FILE* to) {
                "--jam-seed=J pins randomized jammers to one fixed adversary across replicates.\n"
                "--json=PATH writes the structured lowsense-bench/v1 result document.\n"
                "--pack=FILE[:name] runs the scenario pack (every entry, or just `name`)\n"
-               "  instead of the bench body; entry digests/expectations become checks.\n"
+               "  instead of the bench body; entry digests/expectations become checks,\n"
+               "  and any failed one makes the exit status 1.\n"
                "--manifest=PATH writes the pack's lowsense-pack/v1 JSONL manifest.\n");
 }
 
@@ -336,6 +338,7 @@ int run_bench_suite(const BenchDef& def, int argc, char** argv) {
   BenchContext ctx(def, args, opts, sinks, pool ? &*pool : nullptr);
   const BenchMeta meta = make_bench_meta(def, args, opts);
 
+  bool pack_ok = true;
   const auto t0 = std::chrono::steady_clock::now();
   for (auto* s : sinks) s->begin(meta);
   try {
@@ -352,6 +355,8 @@ int run_bench_suite(const BenchDef& def, int argc, char** argv) {
       ctx.section("pack: " + (pack.name.empty() ? opts.pack_ref : pack.name));
       if (!pack.description.empty()) ctx.note(pack.description);
       const std::vector<PackEntryOutcome> outcomes = run_scenario_pack(ctx, pack);
+      pack_ok = std::all_of(outcomes.begin(), outcomes.end(),
+                            [](const PackEntryOutcome& o) { return o.ok(); });
       if (!opts.manifest_path.empty()) {
         std::ofstream mf(opts.manifest_path, std::ios::binary);
         mf << render_pack_manifest(pack, outcomes);
@@ -371,7 +376,7 @@ int run_bench_suite(const BenchDef& def, int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   for (auto* s : sinks) s->end(elapsed);
 
-  return json && !json->write_ok() ? 1 : 0;
+  return !pack_ok || (json && !json->write_ok()) ? 1 : 0;
 }
 
 }  // namespace lowsense

@@ -168,9 +168,10 @@ BenchMeta make_bench_meta(const BenchDef& def, const Args& args, const SuiteOpti
 
 /// The shared main(): parse + validate flags, honor --list/--help, set up
 /// sinks and the pool, run the body, close the sinks. Returns 0 on a
-/// completed run (shape-check verdicts are reported, not exit codes, so
-/// smoke configs with tiny sweeps stay usable), 1 on a crashed body or an
-/// unwritable --json= path, 2 on a CLI error.
+/// completed run (a bench body's shape-check verdicts are reported, not
+/// exit codes, so smoke configs with tiny sweeps stay usable), 1 on a
+/// crashed body, an unwritable --json= path, or a --pack= run whose pinned
+/// digest or `expect` failed (as lowsense_cli), 2 on a CLI error.
 int run_bench_suite(const BenchDef& def, int argc, char** argv);
 
 }  // namespace lowsense

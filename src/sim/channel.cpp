@@ -9,6 +9,8 @@
 #include <bit>
 #include <cassert>
 #include <limits>
+#include <tuple>
+#include <type_traits>
 
 namespace lowsense::detail {
 
@@ -115,8 +117,7 @@ SimCore::SimCore(const ProtocolFactory& factory, ArrivalProcess& arrivals, Jamme
   unsigned shards = config.shards;
   if (shards == 0) shards = ParallelExecutor::default_threads();
   if (shards < 1) shards = 1;
-  shards_.reserve(shards);
-  for (unsigned s = 0; s < shards; ++s) shards_.emplace_back(s, shards);
+  shards_.resize(shards);
   scratch_pos_.resize(shards);
   if (shards > 1) {
     // The caller thread works shard 0, so the pool only needs S-1
@@ -169,8 +170,6 @@ void SimCore::inject_arrivals_at(Slot t) {
       ++counters_.arrivals;
       ++counters_.backlog;
       max_window_ = std::max(max_window_, fresh.window);
-      pkt.active_pos = static_cast<std::uint32_t>(active_.size());
-      active_.push_back(ActiveRef{id, slab});
       for (auto* obs : observers_) obs->on_arrival(t, id, *pkt.proto);
     }
     peak_backlog_ = std::max(peak_backlog_, counters_.backlog);
@@ -211,14 +210,6 @@ void SimCore::depart(Slot t, std::size_t shard_idx, std::uint32_t slab) {
   counters_.contention -= store.send_prob(slab);
   --counters_.backlog;
   ++counters_.successes;
-  // Swap-remove from the active list in O(1) via the stored position.
-  const PacketId id = store.id(slab);
-  const std::uint32_t pos = pkt.active_pos;
-  assert(pos < active_.size() && active_[pos].id == id && active_[pos].slab == slab);
-  active_[pos] = active_.back();
-  const ActiveRef& moved = active_[pos];
-  shards_[moved.id % shards_.size()].store().at(moved.slab).active_pos = pos;
-  active_.pop_back();
   latency_stats_.add(static_cast<double>(t - pkt.arrival + 1));
   // Fold the departed packet's per-packet stats NOW — its record may be
   // reclaimed at the end of this slot. At most one packet departs per
@@ -232,30 +223,28 @@ void SimCore::depart(Slot t, std::size_t shard_idx, std::uint32_t slab) {
   access_hist_.add(static_cast<double>(accesses));
   max_accesses_ = std::max(max_accesses_, accesses);
   for (auto* obs : observers_) {
-    obs->on_departure(t, id, pkt.arrival, accesses, sends, store.window(slab));
+    obs->on_departure(t, store.id(slab), pkt.arrival, accesses, sends, store.window(slab));
   }
   // The slab is released only after phase 3 — it is still referenced by
   // this slot's accessor list (which checks `active`).
   if (config_.reclaim) reclaim_pending_ = {shard_idx, slab};
 }
 
-void SimCore::run_phase(Phase phase, PacketShard& shard) {
-  if (phase == Phase::kSendDraws) {
-    phase_send_draws(phase_slot_, shard);
-  } else {
-    phase_feedback(phase_slot_, phase_fb_, shard);
-  }
-}
-
-void SimCore::run_sharded(std::size_t total_accessors, Phase phase) {
+template <typename Fn>
+void SimCore::run_sharded(std::size_t total_accessors, Fn&& fn) {
   if (pool_ && total_accessors >= kParallelMinAccessors) {
     try {
-      for (std::uint32_t s = 1; s < shards_.size(); ++s) {
-        // 16-byte trivially-copyable capture: fits std::function's
-        // small-object buffer, so the twice-per-slot fork never mallocs.
-        pool_->submit([this, phase, s] { run_phase(phase, shards_[s]); });
+      for (std::size_t s = 1; s < shards_.size(); ++s) {
+        // Two references (16 bytes, trivially copyable): fits
+        // std::function's small-object buffer, so the twice-per-slot fork
+        // never mallocs. `fn` outlives the wait below.
+        PacketShard& shard = shards_[s];
+        auto task = [&fn, &shard] { fn(shard); };
+        static_assert(sizeof(task) == 2 * sizeof(void*) &&
+                      std::is_trivially_copyable_v<decltype(task)>);
+        pool_->submit(task);
       }
-      run_phase(phase, shards_[0]);  // the calling thread takes shard 0
+      fn(shards_[0]);  // the calling thread takes shard 0
     } catch (...) {
       // In-flight workers still mutate shard scratch: they MUST drain
       // before this frame unwinds (whether submit or our own share
@@ -268,7 +257,7 @@ void SimCore::run_sharded(std::size_t total_accessors, Phase phase) {
     }
     pool_->wait();
   } else {
-    for (PacketShard& shard : shards_) run_phase(phase, shard);
+    for (PacketShard& shard : shards_) fn(shard);
   }
 }
 
@@ -404,21 +393,16 @@ void SimCore::resolve_phases(Slot t) {
 
   // 1. Send decisions: one slot-keyed coin per accessor, drawn per
   //    shard. Pure in (seed, id, t), so shard scheduling cannot matter.
-  phase_slot_ = t;
-  run_sharded(total, Phase::kSendDraws);
+  run_sharded(total, [this, t](PacketShard& shard) { phase_send_draws(t, shard); });
 
   // 2. Arbitration (serial). Merge the shards' sender lists in ascending
   //    id order; adaptive jammers see `view` (state through slot t-1 plus
   //    this slot's injections, which are the adversary's own); reactive
   //    jammers additionally see the sender list.
   scratch_sender_pids_.clear();
-  scratch_sender_slabs_.clear();
   for_each_in_id_order(
       [](PacketShard& s) -> const std::vector<PacketId>& { return s.sender_ids; },
-      [this](PacketId id, std::size_t sh, std::size_t pos) {
-        scratch_sender_pids_.push_back(id);
-        scratch_sender_slabs_.push_back(shards_[sh].senders[pos]);
-      });
+      [this](PacketId id, std::size_t, std::size_t) { scratch_sender_pids_.push_back(id); });
   const bool jammed = jammer_.jam(t, view(), scratch_sender_pids_);
 
   //    Outcome (§1.1): jam => noisy; two senders => noisy; one sender and
@@ -432,16 +416,16 @@ void SimCore::resolve_phases(Slot t) {
   }
 
   //    Departure of the winner (it learns its success implicitly and never
-  //    receives an on_observation callback).
+  //    receives an on_observation callback). The lone sender is its
+  //    shard's only one.
   if (success) {
-    const PacketId winner = scratch_sender_pids_.front();
-    depart(t, winner % shards_.size(), scratch_sender_slabs_.front());
+    const std::size_t sh = scratch_sender_pids_.front() % shards_.size();
+    depart(t, sh, shards_[sh].senders.front());
   }
 
   // 3. Feedback to every other accessor + gap redraw + wheel
   //    re-registration, parallel per shard ...
-  phase_fb_ = fb;
-  run_sharded(total, Phase::kFeedback);
+  run_sharded(total, [this, t, fb](PacketShard& shard) { phase_feedback(t, fb, shard); });
 
   //    ... then the serial shard-merge: apply the recorded contention
   //    deltas and fire the window-change observers in ascending-id order
@@ -494,7 +478,9 @@ void SimCore::account_quiet_span(Slot lo, Slot hi) {
 
 double SimCore::recompute_contention() const {
   double c = 0.0;
-  for (const ActiveRef& ref : active_) c += packet_at(ref).proto->send_prob();
+  for_each_live([&c](const PacketStore& store, std::uint32_t slab) {
+    c += store.at(slab).proto->send_prob();
+  });
   return c;
 }
 
@@ -503,13 +489,15 @@ void SimCore::finish(RunResult* result) {
   // survivors are swept here in ascending LOGICAL id — the accumulation
   // order, and therefore every derived statistic bit for bit, is
   // independent of the shard count, the engine, and slab placement.
-  std::vector<ActiveRef> live(active_);
-  std::sort(live.begin(), live.end(),
-            [](const ActiveRef& a, const ActiveRef& b) { return a.id < b.id; });
-  for (const ActiveRef& ref : live) {
-    const std::uint64_t accesses = store_of(ref).accesses(ref.slab);
+  std::vector<std::tuple<PacketId, std::uint64_t, std::uint64_t>> live;  // id, accesses, sends
+  live.reserve(counters_.backlog);
+  for_each_live([&live](const PacketStore& store, std::uint32_t slab) {
+    live.emplace_back(store.id(slab), store.accesses(slab), store.sends(slab));
+  });
+  std::sort(live.begin(), live.end());  // ids are distinct: ascending id
+  for (const auto& [id, accesses, sends] : live) {
     access_stats_.add(static_cast<double>(accesses));
-    send_stats_.add(static_cast<double>(store_of(ref).sends(ref.slab)));
+    send_stats_.add(static_cast<double>(sends));
     access_hist_.add(static_cast<double>(accesses));
     max_accesses_ = std::max(max_accesses_, accesses);
   }

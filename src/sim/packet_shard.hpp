@@ -5,9 +5,13 @@
 //
 // A run with S shards assigns the packet with logical id to shard
 // id % S, so the shard of a packet is a pure function of its id and the
-// shard count — slab placement never leaks into it. Everything a phase
-// writes while running concurrently is confined to its own shard:
-// packet slabs, wheel, and the scratch buffers below. Cross-shard state
+// shard count — slab placement never leaks into it. That mapping is
+// SimCore's alone: a shard does not know its own index and holds no
+// reference to another shard or to a run-wide packet list (its store's
+// `active` flags are the only record of its live packets; see
+// packet_store.hpp). Everything a phase writes while running
+// concurrently is confined to its own shard: packet slabs, wheel, and
+// the scratch buffers below. Cross-shard state
 // (channel outcome, jammer, observers, counters, contention) lives in
 // SimCore and is only touched in the serial phases, in canonical
 // ascending-LOGICAL-id order — which is what makes a sharded run
@@ -20,7 +24,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -93,15 +96,6 @@ class PacketShard {
     bool departed = false;  ///< the slot's winner: no feedback, no redraw
   };
 
-  PacketShard(std::uint32_t index, std::uint32_t of) : index_(index), of_(of) {
-    assert(of_ > 0 && index_ < of_);
-  }
-
-  std::uint32_t index() const noexcept { return index_; }
-
-  /// True iff the packet with logical id belongs to this shard.
-  bool owns(PacketId id) const noexcept { return id % of_ == index_; }
-
   PacketStore& store() noexcept { return store_; }
   const PacketStore& store() const noexcept { return store_; }
 
@@ -125,8 +119,6 @@ class PacketShard {
   std::vector<StepItem> steps;
 
  private:
-  std::uint32_t index_;
-  std::uint32_t of_;
   PacketStore store_;
   AccessWheel wheel_;
 };

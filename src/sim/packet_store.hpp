@@ -21,6 +21,13 @@
 //     them. Each slab carries a generation counter, bumped on reuse, so
 //     tests and debug assertions can detect stale handles.
 //
+// LIVENESS. Packet::active is the run's only record of which packets are
+// in the system: set at injection, cleared at departure, both on the
+// packet's own slab. There is no separate live list to keep in step, so
+// anything that needs the live set (the survivor sweep at finish, the
+// contention recompute, test probes) walks the slabs, and sorts by
+// logical id wherever the order is observable.
+//
 // Because every observable quantity is keyed on the logical id and never
 // on the slab, a run with reclamation enabled is bit-identical to the
 // same run with reclamation off (and to the pre-slab dense layout) on
@@ -30,10 +37,11 @@
 // the cached protocol outputs (window, send probability, send probability
 // given access), next-access slot, and the access/send tallies — live in
 // separate parallel arrays (structure-of-arrays), each stored once. Phase
-// 1 (sort, coins, tallies), the shard merge, injection and departure read
-// only these lanes and never call into the protocol object; the cold
-// remainder (protocol state, gap stream, arrival bookkeeping) stays in the
-// per-slab record and is touched once per access, by the feedback phase.
+// 1 (sort, coins, tallies) and the shard merge read only these lanes and
+// never call into the protocol object; the cold remainder (protocol
+// state, gap stream, arrival slot, generation, the `active` flag) stays
+// in the per-slab record, touched by injection, departure, and once per
+// access by the feedback phase.
 #pragma once
 
 #include <cassert>
@@ -53,16 +61,7 @@ struct Packet {
   Rng rng{0};  ///< per-packet stream: gap draws (geometric / windowed)
   Slot arrival = 0;
   std::uint32_t generation = 0;  ///< slab reuse count (0 = first tenant)
-  std::uint32_t active_pos = 0;  ///< index into SimCore's active-ref list
-  bool active = false;
-};
-
-/// A (logical id, slab) handle to a LIVE packet. The shard is implied by
-/// the id (id % shard-count), so the pair pins down the record without
-/// any id -> slab lookup structure.
-struct ActiveRef {
-  PacketId id = 0;
-  std::uint32_t slab = 0;
+  bool active = false;           ///< in the system: injected, not yet departed
 };
 
 class PacketStore {

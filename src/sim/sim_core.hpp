@@ -16,7 +16,11 @@
 // logical PacketId (injection sequence number, never reused): it keys the
 // gap stream and the slot-keyed send coins, decides the owning shard
 // (id % S), and defines the canonical order below, so reclamation cannot
-// change any observable result.
+// change any observable result. The stores are also the ONLY record of
+// which packets are live (Packet::active): SimCore keeps no per-packet
+// list of its own, so injection and departure touch only the packet's
+// own shard, and finish() finds the survivors by walking the stores
+// (for_each_live) and sorting them by id.
 //
 // SHARDING. A run with config.shards = S splits the packet population
 // over S PacketShards (packet id -> shard id % S) and resolves each slot
@@ -97,22 +101,21 @@ class SimCore {
   std::uint64_t n_active() const noexcept { return counters_.backlog; }
   const Counters& counters() const noexcept { return counters_; }
   SystemView view() const noexcept;
-  /// Handles of every in-system packet (unordered; swap-removed).
-  const std::vector<ActiveRef>& active() const noexcept { return active_; }
-  /// The store holding a live packet (its shard's).
-  const PacketStore& store_of(const ActiveRef& ref) const noexcept {
-    return shards_[ref.id % shards_.size()].store();
-  }
-  const Packet& packet_at(const ActiveRef& ref) const noexcept {
-    return store_of(ref).at(ref.slab);
-  }
-  Slot next_access_at(const ActiveRef& ref) const noexcept {
-    return store_of(ref).next_access(ref.slab);
-  }
   bool arrivals_exhausted() const noexcept { return arrivals_done_ && !pending_; }
 
-  unsigned shard_count() const noexcept { return static_cast<unsigned>(shards_.size()); }
-  PacketShard& shard(unsigned s) noexcept { return shards_[s]; }
+  /// Visits every in-system packet as fn(store, slab): shard by shard,
+  /// each store's slabs in slab order, skipping those not `active`. That
+  /// is placement order, NOT the canonical one; sort by store.id(slab)
+  /// wherever the order is observable. O(slabs allocated).
+  template <typename Fn>
+  void for_each_live(Fn&& fn) const {
+    for (const PacketShard& sh : shards_) {
+      const PacketStore& store = sh.store();
+      for (std::uint32_t slab = 0; slab < store.capacity(); ++slab) {
+        if (store.at(slab).active) fn(store, slab);
+      }
+    }
+  }
 
   /// Smallest slot with a scheduled access across all shards (kNoSlot
   /// when none). The engines' next-event query.
@@ -121,9 +124,9 @@ class SimCore {
   /// True iff no active packet will ever access the channel again.
   bool no_future_access() const noexcept;
 
-  /// O(n_active) recomputation of contention from the protocol objects
-  /// (not the cached lanes); tests compare it against the incrementally
-  /// maintained value to bound floating-point drift.
+  /// Recomputation of contention from the protocol objects (not the
+  /// cached lanes); tests compare it against the incrementally maintained
+  /// value to bound floating-point drift.
   double recompute_contention() const;
 
   void finish(RunResult* result);
@@ -135,22 +138,15 @@ class SimCore {
   static constexpr std::size_t kParallelMinAccessors = 128;
 
  private:
-  /// The two parallel phases, as a tag so the fork path can submit a
-  /// 16-byte (small-object-optimized) closure instead of heap-allocating
-  /// a std::function per shard per fork — the resolve forks twice per
-  /// heavy slot. Phase inputs (slot, feedback) travel in phase_slot_ /
-  /// phase_fb_, written by the serial code before the fork.
-  enum class Phase : std::uint32_t { kSendDraws, kFeedback };
-
   void depart(Slot t, std::size_t shard_idx, std::uint32_t slab);
   void resolve_phases(Slot t);
-  void run_phase(Phase phase, PacketShard& shard);
   void phase_send_draws(Slot t, PacketShard& shard);
   void phase_feedback(Slot t, Feedback fb, PacketShard& shard);
-  /// Runs the phase over every shard: on the pool when the slot is heavy
+  /// Runs fn(shard) for every shard: on the pool when the slot is heavy
   /// enough, inline (in shard order) otherwise — same code path, same
   /// canonical results either way.
-  void run_sharded(std::size_t total_accessors, Phase phase);
+  template <typename Fn>
+  void run_sharded(std::size_t total_accessors, Fn&& fn);
   /// Visits accessor-aligned entries of all shards in canonical
   /// ascending-LOGICAL-id order (the one merge both serial phases use).
   /// `list_of(shard)` selects the per-shard sorted id list; with a single
@@ -166,18 +162,13 @@ class SimCore {
   std::vector<PacketShard> shards_;
   std::optional<ParallelExecutor> pool_;  ///< persistent; shards > 1 only
   PacketId next_id_ = 0;                  ///< logical ids handed out so far
-  std::vector<ActiveRef> active_;         ///< in-system packets (unordered)
   std::vector<PacketId> scratch_sender_pids_;
-  std::vector<std::uint32_t> scratch_sender_slabs_;  ///< aligned with pids
   std::vector<std::size_t> scratch_pos_;  ///< per-shard merge cursors
   std::optional<ArrivalBurst> pending_;
   bool arrivals_done_ = false;
   /// The slot winner's slab, released (if config_.reclaim) only after
   /// phase 3 and the observers are done with the record.
   std::optional<std::pair<std::size_t, std::uint32_t>> reclaim_pending_;
-
-  Slot phase_slot_ = 0;                    ///< inputs of the forked phases,
-  Feedback phase_fb_ = Feedback::kEmpty;   ///< set serially before each fork
 
   Counters counters_;
   std::vector<Observer*> observers_;

@@ -166,6 +166,88 @@ TEST(ScenarioPackReject, MalformedJammerSpec) {
   EXPECT_NE(err.find("malformed jammer spec"), std::string::npos) << err;
 }
 
+// Numbers inside arrival and jammer specs are parsed whole: an exponent
+// in an integer, a sign on a count, a space, or a trailing character is
+// an error — not a truncation ("batch:1e3" -> 1 packet), a wrap
+// ("batch:-1" -> 2^64-1 packets), or a prefix ("random:0.3x" -> 0.3).
+// Values the constructors reject are errors at parse time too, not an
+// exception when the run starts.
+const char* const kBadArrivals[] = {
+    "batch:1e3",           "batch:-1",           "batch:+5",
+    "batch: 5",            "poisson:0.05x,100",  "poisson:0.05,1e2",
+    "aqt:0.5,8x,front,10", "aqt:0.5,8,front,-1", "batch:18446744073709551616",
+    "poisson:0,100",       "aqt:2,8,front,10",   "aqt:0.5,1,front,10",
+};
+const char* const kBadJammers[] = {
+    "random:0.3x",  "random:0.3,-1", "random: 0.3", "burst:10,2.5",
+    "victim:1e2,5", "blanket:-3",    "band:0,1x,5", "randband:0,1,0.5,10,0.1z",
+    "randband:0,1,0.5,1.5", "random:1.5", "band:2,1,5",
+};
+
+TEST(SpecNumbers, SpecParsersRejectLooseNumbersAndBadValues) {
+  for (const char* spec : kBadArrivals) EXPECT_FALSE(parse_arrivals_spec(spec)) << spec;
+  for (const char* spec : kBadJammers) EXPECT_FALSE(parse_jammer_spec(spec)) << spec;
+  // Their well-formed neighbours still parse.
+  for (const char* spec :
+       {"batch:1000", "poisson:0.05,100", "poisson:5e-2,0", "aqt:0.5,8,front,10"}) {
+    EXPECT_TRUE(parse_arrivals_spec(spec)) << spec;
+  }
+  for (const char* spec : {"random:0.3", "random:3e-1,100", "burst:10,2", "victim:100,5",
+                           "blanket:3", "band:0,1.5,5", "randband:0,1,0.5,10,0.1"}) {
+    EXPECT_TRUE(parse_jammer_spec(spec)) << spec;
+  }
+}
+
+TEST(SpecNumbers, WholeStringParsersRejectPartialAndOutOfRangeInput) {
+  std::uint64_t u = 7;
+  double d = 7.0;
+  EXPECT_TRUE(parse_u64_full("18446744073709551615", &u));
+  EXPECT_EQ(u, 18446744073709551615ULL);
+  for (const char* text : {"", "-1", "+1", " 1", "1 ", "1e3", "0x10", "18446744073709551616"}) {
+    u = 7;
+    EXPECT_FALSE(parse_u64_full(text, &u)) << "'" << text << "'";
+    EXPECT_EQ(u, 7u) << "'" << text << "'";
+  }
+  EXPECT_TRUE(parse_f64_full("1e3", &d));
+  EXPECT_EQ(d, 1000.0);
+  for (const char* text : {"", "0.3x", " 0.3", "0.3 ", "1e999", "."}) {
+    d = 7.0;
+    EXPECT_FALSE(parse_f64_full(text, &d)) << "'" << text << "'";
+    EXPECT_EQ(d, 7.0) << "'" << text << "'";
+  }
+}
+
+TEST(SpecNumbers, PackWithABadSpecFailsToLoadAtItsEntry) {
+  // The bad entry is the second one, so the position must be its own
+  // header line (test.pack:5), not the start of the file.
+  const std::string ok_entry =
+      "[ok]\n"
+      "protocol = lsb\n"
+      "arrivals = batch:8\n"
+      "budget   = 100\n";
+  for (const char* spec : kBadArrivals) {
+    const std::string err = parse_error(ok_entry +
+                                        "[bad]\n"
+                                        "protocol = lsb\n"
+                                        "arrivals = " +
+                                        spec + "\nbudget   = 100\n");
+    EXPECT_NE(err.find("test.pack:5: malformed arrivals spec '" + std::string(spec) + "'"),
+              std::string::npos)
+        << err;
+  }
+  for (const char* spec : kBadJammers) {
+    const std::string err = parse_error(ok_entry +
+                                        "[bad]\n"
+                                        "protocol = lsb\n"
+                                        "arrivals = batch:8\n"
+                                        "jammer   = " +
+                                        spec + "\nbudget   = 100\n");
+    EXPECT_NE(err.find("test.pack:5: malformed jammer spec '" + std::string(spec) + "'"),
+              std::string::npos)
+        << err;
+  }
+}
+
 TEST(ScenarioPackReject, OpenEndedRunNeedsBudgetOrHorizon) {
   const std::string err = parse_error(
       "[a]\n"

@@ -181,6 +181,44 @@ TEST(SuiteRunnerTest, EndToEndWritesSchemaStableJson) {
   EXPECT_EQ(doc.find("\"simd\""), std::string::npos) << doc;
 }
 
+// A --pack= run fails like lowsense_cli: a pinned digest or an `expect`
+// that does not hold makes the exit status 1 (the cmake pack checks rely
+// on it), while the same pack with every check holding exits 0.
+TEST(SuiteRunnerTest, PackModeExitsOneOnAFailedDigestOrExpectation) {
+  const std::string entry =
+      "[tiny]\n"
+      "protocol = low-sensing\n"
+      "arrivals = batch:16\n"
+      "seed     = 3\n"
+      "budget   = 20000\n";
+  const struct {
+    const char* extra;
+    int rc;
+  } cases[] = {
+      {"expect = drained\n", 0},
+      {"digest = 0000000000000000\n", 1},
+      {"expect = departures >= 17\n", 1},
+  };
+  for (const auto& c : cases) {
+    const std::string path = ::testing::TempDir() + "/suite_exit.pack";
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    const std::string text = entry + c.extra;
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+
+    BenchDef def = mini_def();
+    const std::string pack_flag = "--pack=" + path;
+    std::vector<const char*> argv{"prog", pack_flag.c_str()};
+    ::testing::internal::CaptureStdout();
+    const int rc = run_bench_suite(def, static_cast<int>(argv.size()),
+                                   const_cast<char**>(argv.data()));
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, c.rc) << c.extra << out;
+    EXPECT_EQ(out.find("[FAIL]") != std::string::npos, c.rc != 0) << c.extra << out;
+  }
+}
+
 // --------------------------------------------------------- JSON (golden)
 
 TEST(JsonSinkTest, GoldenDocumentWithoutTiming) {

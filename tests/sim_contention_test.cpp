@@ -59,16 +59,14 @@ struct CrossCheck final : Observer {
   void on_slot(const SlotInfo&, const Counters& c) override {
     const double truth = core->recompute_contention();
     worst = std::max(worst, std::fabs(truth - c.contention));
-    for (const detail::ActiveRef& ref : core->active()) {
-      const detail::PacketStore& store = core->store_of(ref);
-      const Protocol& proto = *core->packet_at(ref).proto;
+    core->for_each_live([this](const detail::PacketStore& store, std::uint32_t slab) {
+      const Protocol& proto = *store.at(slab).proto;
       ++lanes_checked;
-      if (store.window(ref.slab) != proto.window() ||
-          store.send_prob(ref.slab) != proto.send_prob() ||
-          store.send_given_access(ref.slab) != proto.send_prob_given_access()) {
+      if (store.window(slab) != proto.window() || store.send_prob(slab) != proto.send_prob() ||
+          store.send_given_access(slab) != proto.send_prob_given_access()) {
         ++lane_mismatches;
       }
-    }
+    });
   }
 };
 

@@ -153,7 +153,7 @@ struct Outcome {
   LifecycleLedger ledger;
 };
 
-enum class ArrKind { kScheduleWithDrains, kPoisson, kAqt };
+enum class ArrKind { kScheduleWithDrains, kPoisson, kAqt, kRefillTruncated };
 
 std::unique_ptr<ArrivalProcess> make_arrivals(ArrKind kind, std::uint64_t seed) {
   switch (kind) {
@@ -164,6 +164,9 @@ std::unique_ptr<ArrivalProcess> make_arrivals(ArrKind kind, std::uint64_t seed) 
       for (int b = 0; b < 4; ++b) bursts.push_back({static_cast<Slot>(b) * 40000, 12});
       return std::make_unique<ScheduleArrivals>(bursts);
     }
+    case ArrKind::kRefillTruncated:
+      return std::make_unique<ScheduleArrivals>(
+          std::vector<ArrivalBurst>{{0, 12}, {40000, 12}, {80000, 300}});
     case ArrKind::kPoisson:
       return std::make_unique<PoissonArrivals>(0.01, 48, Rng::stream(seed, 0xa1));
     case ArrKind::kAqt:
@@ -200,6 +203,16 @@ Outcome run_once(bool slot_engine, const std::string& proto, ArrKind arr_kind, i
   return out;
 }
 
+/// Bit for bit, not just the order-free sum: the running mean and M2 depend
+/// on the fold order, so this pins departures in slot order and then the
+/// survivors in ascending id (finish()), whatever their slab placement.
+void expect_same_stats(const StreamingStats& a, const StreamingStats& b, const char* what) {
+  EXPECT_EQ(a.count(), b.count()) << what;
+  EXPECT_EQ(a.sum(), b.sum()) << what;
+  EXPECT_EQ(a.mean(), b.mean()) << what;
+  EXPECT_EQ(a.variance(), b.variance()) << what;
+}
+
 /// Reclamation must not move a single bit — same engine, same shards, so
 /// even the floating-point contention matches exactly. Allocator-side
 /// numbers (slab_capacity, slabs_recycled) are NOT compared: they are
@@ -217,9 +230,9 @@ void expect_identical(const Outcome& a, const Outcome& b, const std::string& lab
   EXPECT_EQ(a.result.max_accesses, b.result.max_accesses);
   EXPECT_EQ(a.result.peak_backlog, b.result.peak_backlog);
   EXPECT_EQ(a.result.max_window_seen, b.result.max_window_seen);
-  EXPECT_EQ(a.result.access_stats.sum(), b.result.access_stats.sum());
-  EXPECT_EQ(a.result.send_stats.sum(), b.result.send_stats.sum());
-  EXPECT_EQ(a.result.latency_stats.sum(), b.result.latency_stats.sum());
+  expect_same_stats(a.result.access_stats, b.result.access_stats, "access_stats");
+  expect_same_stats(a.result.send_stats, b.result.send_stats, "send_stats");
+  expect_same_stats(a.result.latency_stats, b.result.latency_stats, "latency_stats");
   EXPECT_EQ(a.ledger.arrivals, b.ledger.arrivals);
   EXPECT_EQ(a.ledger.departures, b.ledger.departures);
 }
@@ -280,6 +293,39 @@ TEST(PacketStoreIdentityFuzz, OpenVsClosedBitIdenticalAcrossEnginesAndShards) {
   // The sweep must actually exercise reuse, not vacuously pass on runs
   // whose backlog never drained.
   EXPECT_GT(total_recycled, 0u);
+}
+
+// The fuzz above drains its runs, so it has no survivors at finish().
+// Here two small bursts drain and free their slabs, and a third, larger
+// one lands on the recycled slabs and is cut off by the horizon with most
+// of it still live. finish() must fold those survivors in ascending id,
+// not in slab order, which recycling and sharding both scramble.
+TEST(PacketStoreIdentity, TruncatedRunFoldsSurvivorsInIdOrderAtAnyPlacement) {
+  for (const bool slot_engine : {false, true}) {
+    RunConfig cfg;
+    cfg.seed = 77;
+    cfg.max_slot = 80000 + 300;
+    RunConfig closed1 = cfg;
+    closed1.shards = 1;
+    closed1.reclaim = false;
+    const Outcome ref = run_once(slot_engine, "low-sensing", ArrKind::kRefillTruncated, 0, closed1);
+    ASSERT_GT(ref.result.counters.backlog, 100u) << ref.result.counters.slot;
+    for (const unsigned shards : {1u, 4u}) {
+      for (const bool reclaim : {false, true}) {
+        RunConfig got_cfg = cfg;
+        got_cfg.shards = shards;
+        got_cfg.reclaim = reclaim;
+        const Outcome got =
+            run_once(slot_engine, "low-sensing", ArrKind::kRefillTruncated, 0, got_cfg);
+        const std::string label = std::string(slot_engine ? "slot" : "event") + "/shards" +
+                                  std::to_string(shards) + (reclaim ? "/open" : "/closed");
+        if (reclaim) {
+          EXPECT_GT(got.result.slabs_recycled, 0u) << label;
+        }
+        expect_identical(ref, got, label);
+      }
+    }
+  }
 }
 
 TEST(PacketStoreRecycling, RecycledSlabsNeverReplayDepartedPacketsCallbacks) {

@@ -31,19 +31,9 @@ using detail::PacketShard;
 
 // ------------------------------------------------------ PacketShard unit
 
-TEST(PacketShard, OwnershipIsIdModuloShardCount) {
-  PacketShard shard(2, 5);
-  EXPECT_EQ(shard.index(), 2u);
-  EXPECT_TRUE(shard.owns(2));
-  EXPECT_TRUE(shard.owns(7));
-  EXPECT_TRUE(shard.owns(102));
-  EXPECT_FALSE(shard.owns(3));
-  EXPECT_FALSE(shard.owns(0));
-}
-
 TEST(PacketShard, AcquireAndLookupRoundTrip) {
-  PacketShard shard(1, 3);
-  // Shard 1 of 3 owns ids 1, 4, 7, ... — acquire in global id order.
+  PacketShard shard;
+  // As shard 1 of 3 would: ids 1, 4, 7, ... in global id order.
   std::vector<std::uint32_t> slabs;
   for (std::uint32_t id : {1u, 4u, 7u, 10u}) {
     const std::uint32_t slab = shard.store().acquire(id);
@@ -57,7 +47,7 @@ TEST(PacketShard, AcquireAndLookupRoundTrip) {
 }
 
 TEST(PacketShard, WheelsAreIndependentPerShard) {
-  PacketShard a(0, 2), b(1, 2);
+  PacketShard a, b;
   a.wheel().schedule(0, 5);
   b.wheel().schedule(1, 3);
   EXPECT_EQ(a.wheel().next_scheduled(), 5u);
@@ -80,8 +70,7 @@ TEST(PacketShard, ShardedWheelsMatchGlobalReferenceMap) {
     return std::uniform_int_distribution<std::uint64_t>(lo, hi)(gen);
   };
 
-  std::vector<PacketShard> shards;
-  for (std::uint32_t s = 0; s < kShards; ++s) shards.emplace_back(s, kShards);
+  std::vector<PacketShard> shards(kShards);
   std::map<Slot, std::vector<std::uint32_t>> model;
   Slot t = 0;
   std::uint32_t next_id = 0;
@@ -380,15 +369,17 @@ struct SendCoinReplay final : Observer {
     sent += s ? 1 : 0;
     return s;
   }
-  Snap snapshot(const detail::ActiveRef& ref) const {
-    const detail::PacketStore& store = core->store_of(ref);
-    return {store.next_access(ref.slab), store.send_given_access(ref.slab),
-            store.sends(ref.slab)};
+  static Snap snapshot(const detail::PacketStore& store, std::uint32_t slab) {
+    return {store.next_access(slab), store.send_given_access(slab), store.sends(slab)};
   }
   void on_arrival(Slot, PacketId id, const Protocol&) override {
-    const detail::ActiveRef& ref = core->active().back();  // just injected
-    ASSERT_EQ(ref.id, id);
-    snaps[id] = snapshot(ref);
+    bool found = false;
+    core->for_each_live([&](const detail::PacketStore& store, std::uint32_t slab) {
+      if (store.id(slab) != id) return;
+      snaps[id] = snapshot(store, slab);
+      found = true;
+    });
+    ASSERT_TRUE(found) << "injected packet " << id << " is not live";
   }
   void on_departure(Slot t, PacketId id, Slot, std::uint64_t, std::uint64_t sends,
                     double) override {
@@ -399,16 +390,19 @@ struct SendCoinReplay final : Observer {
     snaps.erase(id);
   }
   void on_slot(const SlotInfo& info, const Counters&) override {
-    for (const detail::ActiveRef& ref : core->active()) {
-      Snap& snap = snaps.at(ref.id);
-      const Snap now = snapshot(ref);
+    std::size_t live = 0;
+    core->for_each_live([&](const detail::PacketStore& store, std::uint32_t slab) {
+      ++live;
+      const PacketId id = store.id(slab);
+      Snap& snap = snaps.at(id);
+      const Snap now = snapshot(store, slab);
       bool want = false;
-      if (snap.next == info.slot) want = coin(ref.id, info.slot, snap.p);
+      if (snap.next == info.slot) want = coin(id, info.slot, snap.p);
       slot_senders += want ? 1 : 0;
       if (now.sends != snap.sends + (want ? 1 : 0)) ++mismatches;
       snap = now;
-    }
-    if (slot_senders != info.senders) ++mismatches;
+    });
+    if (live != snaps.size() || slot_senders != info.senders) ++mismatches;
     slot_senders = 0;
   }
 };
