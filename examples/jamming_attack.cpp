@@ -59,10 +59,9 @@ int main(int argc, char** argv) {
   const Args args(argc, argv);
   const std::uint64_t max_budget = args.u64("budget", 16);
   const std::uint64_t seed = args.u64("seed", 17);
-  const unsigned threads =
-      ParallelExecutor::resolve_threads(static_cast<unsigned>(args.u64("threads", 1)));
+  const unsigned threads = args.workers("threads");
   for (const auto& k : args.unknown_keys()) {
-    std::fprintf(stderr, "unknown flag %s\n", k.c_str());
+    std::fprintf(stderr, "unknown flag or bad value %s\n", k.c_str());
     std::fprintf(stderr, "usage: jamming_attack [--budget=B] [--seed=S] [--threads=T]\n");
     return 2;
   }

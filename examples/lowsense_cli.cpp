@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -40,7 +41,7 @@ void usage() {
               "                    [--reps=K] [--seed=S] [--jam-seed=J] [--threads=T]\n"
               "                    [--shards=M] [--max-active-slots=B] [--engine=event|slot]\n"
               "                    [--csv] [--json=PATH]\n"
-              "       lowsense_cli --pack=FILE[:name] [--manifest=PATH]\n"
+              "       lowsense_cli --pack=FILE[:name] [--manifest=PATH] [--json=PATH]\n"
               "                    [--engine=event|slot] [--shards=M] [--csv]\n\n"
               "protocols: ");
   for (const auto& name : protocol_names()) std::printf("%s ", name.c_str());
@@ -59,8 +60,21 @@ void usage() {
   std::printf("--pack=FILE[:name] runs a scenario pack (every entry, or just `name`) at\n"
               "the entries' pinned seeds; exit 1 when any pinned digest or expectation\n"
               "fails. --manifest=PATH writes the lowsense-pack/v1 JSONL manifest, which\n"
-              "is byte-identical for every --engine/--shards combination.\n");
+              "is byte-identical for every --engine/--shards combination; --json=PATH\n"
+              "writes one lowsense-bench/v1 scenario per entry with its digest/expect\n"
+              "checks.\n");
 }
+
+/// Reports each failed pack check (pinned digest or `expect`) on stderr.
+class FailureLog final : public ResultSink {
+ public:
+  void check(const CheckResult& c) override {
+    if (!c.pass) {
+      std::fprintf(stderr, "FAIL %s%s%s\n", c.what.c_str(), c.detail.empty() ? "" : ": ",
+                   c.detail.c_str());
+    }
+  }
+};
 
 }  // namespace
 
@@ -77,10 +91,8 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(args.u64("reps", 3));
   const std::uint64_t seed = args.u64("seed", 1);
   const std::uint64_t jam_seed = args.u64("jam-seed", 0);
-  const unsigned threads =
-      ParallelExecutor::resolve_threads(static_cast<unsigned>(args.u64("threads", 1)));
-  const unsigned shards =
-      ParallelExecutor::resolve_threads(static_cast<unsigned>(args.u64("shards", 1)));
+  const unsigned threads = args.workers("threads");
+  const unsigned shards = args.workers("shards");
   const std::string json_path = args.str("json", "");
   const std::string pack_ref = args.str("pack", "");
   const std::string manifest_path = args.str("manifest", "");
@@ -107,7 +119,9 @@ int main(int argc, char** argv) {
   // typo, and a silently ignored --thread=8 is worse than an error.
   const auto unknown = args.unknown_keys();
   if (!unknown.empty()) {
-    for (const auto& k : unknown) std::fprintf(stderr, "unknown flag %s\n", k.c_str());
+    for (const auto& k : unknown) {
+      std::fprintf(stderr, "unknown flag or bad value %s\n", k.c_str());
+    }
     std::fprintf(stderr, "\n");
     usage();
     return 2;
@@ -124,6 +138,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  std::optional<JsonSink> json;
+  if (!json_path.empty()) json.emplace(json_path);
+
   if (!pack_ref.empty()) {
     // Pack mode: each entry runs once at its pinned seed; --engine= and
     // --shards= apply unless the entry pins shards itself. The per-entry
@@ -136,34 +153,41 @@ int main(int argc, char** argv) {
       usage();
       return 2;
     }
-    std::printf("pack: %s  (%zu scenario%s)\n", pack.name.empty() ? pack_ref.c_str()
-                                                                  : pack.name.c_str(),
-                pack.entries.size(), pack.entries.size() == 1 ? "" : "s");
+    const std::string label = pack.name.empty() ? pack_ref : pack.name;
+    std::printf("pack: %s  (%zu scenario%s)\n", label.c_str(), pack.entries.size(),
+                pack.entries.size() == 1 ? "" : "s");
     if (!pack.description.empty()) std::printf("%s\n", pack.description.c_str());
 
+    FailureLog log;
+    std::vector<ResultSink*> sinks{&log};
+    if (json) sinks.push_back(&*json);
+    const BenchMeta meta{"lowsense_cli", "CLI", "scenario pack",
+                         {{"engine", engine_name(engine)},
+                          {"shards", std::to_string(shards)},
+                          {"pack", pack_ref},
+                          {"json", json_path}},
+                         {}};
+    for (auto* sink : sinks) {
+      sink->begin(meta);
+      sink->section("pack: " + label);
+    }
+    const std::vector<PackEntryOutcome> outcomes = run_scenario_pack(
+        pack,
+        [engine, shards](Scenario sc, std::uint64_t sd, const std::vector<Observer*>& obs) {
+          if (!sc.engine_locked) sc.engine = engine;
+          if (!sc.shards_locked) sc.config.shards = shards;
+          return run_scenario(sc, sd, obs);
+        },
+        engine, sinks);
+    for (auto* sink : sinks) sink->end(0.0);
+
     bool all_ok = true;
-    std::vector<PackEntryOutcome> outcomes;
     Table table({"scenario", "digest", "throughput", "departures", "drained", "verdict"});
-    for (const PackEntry& e : pack.entries) {
-      PackEntryOutcome o = run_pack_entry(
-          e, [engine, shards](Scenario sc, std::uint64_t sd, const std::vector<Observer*>& obs) {
-            if (!sc.engine_locked) sc.engine = engine;
-            if (!sc.shards_locked) sc.config.shards = shards;
-            return run_scenario(sc, sd, obs);
-          });
-      if (!o.digest_ok) {
-        std::fprintf(stderr, "%s: digest mismatch: got %s want %s\n", e.name.c_str(),
-                     o.digest.c_str(), o.expected_digest.c_str());
-      }
-      for (const auto& [text, pass] : o.expect_results) {
-        if (!pass) std::fprintf(stderr, "%s: expectation failed: %s\n", e.name.c_str(),
-                                text.c_str());
-      }
+    for (const PackEntryOutcome& o : outcomes) {
       all_ok &= o.ok();
-      table.add_row({e.name, o.digest, Table::num(o.metric("throughput"), 3),
+      table.add_row({o.scenario, o.digest, Table::num(o.metric("throughput"), 3),
                      Table::num(o.metric("departures"), 0), o.run.drained ? "yes" : "no",
                      o.ok() ? "ok" : "FAIL"});
-      outcomes.push_back(std::move(o));
     }
     std::printf("%s", csv ? table.csv().c_str() : table.render().c_str());
 
@@ -175,7 +199,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    return all_ok ? 0 : 1;
+    return all_ok && (!json || json->write_ok()) ? 0 : 1;
   }
 
   const Replicates r = replicate_parallel(s, reps, threads, seed);
@@ -210,8 +234,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(seed));
   std::printf("%s", csv ? table.csv().c_str() : table.render().c_str());
 
-  if (!json_path.empty()) {
-    JsonSink json(json_path);
+  if (json) {
     BenchMeta meta;
     meta.id = "lowsense_cli";
     meta.paper_anchor = "CLI";
@@ -226,7 +249,7 @@ int main(int argc, char** argv) {
                     {"arrivals", arrivals_spec},
                     {"json", json_path}};
     meta.params = {{"protocol", proto}};
-    json.begin(meta);
+    json->begin(meta);
     ScenarioResult res;
     res.name = s.name;
     res.params = {{"protocol", proto}, {"arrivals", arrivals_spec}, {"jammer", jammer_spec}};
@@ -234,9 +257,9 @@ int main(int argc, char** argv) {
     res.reps = reps;
     res.metrics = std::move(metrics);
     for (const auto& run : r.runs) res.total_active_slots += run.counters.active_slots;
-    json.scenario(res);
-    json.end(0.0);
-    if (!json.write_ok()) return 1;
+    json->scenario(res);
+    json->end(0.0);
+    if (!json->write_ok()) return 1;
   }
   return 0;
 }

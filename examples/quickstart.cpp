@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   const std::string proto = args.str("protocol", "low-sensing");
   const std::string engine = args.str("engine", "event");
   for (const auto& k : args.unknown_keys()) {
-    std::fprintf(stderr, "unknown flag %s\n", k.c_str());
+    std::fprintf(stderr, "unknown flag or bad value %s\n", k.c_str());
     std::fprintf(stderr, "usage: quickstart [--n=N] [--seed=S] [--protocol=NAME] "
                          "[--engine=event|slot]\n");
     return 2;

@@ -74,10 +74,9 @@ int main(int argc, char** argv) {
   const std::uint64_t sensors = args.u64("sensors", 2000);
   const std::uint64_t rounds = args.u64("rounds", 10);
   const std::uint64_t seed = args.u64("seed", 13);
-  const unsigned threads =
-      ParallelExecutor::resolve_threads(static_cast<unsigned>(args.u64("threads", 1)));
+  const unsigned threads = args.workers("threads");
   for (const auto& k : args.unknown_keys()) {
-    std::fprintf(stderr, "unknown flag %s\n", k.c_str());
+    std::fprintf(stderr, "unknown flag or bad value %s\n", k.c_str());
     std::fprintf(stderr,
                  "usage: sensor_network [--sensors=N] [--rounds=R] [--seed=S] [--threads=T]\n");
     return 2;

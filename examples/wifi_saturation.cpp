@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   for (const auto& k : args.unknown_keys()) {
-    std::fprintf(stderr, "unknown flag %s\n", k.c_str());
+    std::fprintf(stderr, "unknown flag or bad value %s\n", k.c_str());
     std::fprintf(stderr, "usage: wifi_saturation [--granularity=S] [--lambda=L] [--seed=S] "
                          "[--engine=event|slot]\n");
     return 2;

@@ -3,9 +3,10 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#include "core/executor.hpp"
 
 namespace lowsense {
 
@@ -50,8 +51,14 @@ struct SpecArgs {
 
   explicit SpecArgs(const std::string& spec) : kind(spec.substr(0, spec.find(':'))) {
     if (kind.size() == spec.size()) return;
-    std::istringstream in(spec.substr(kind.size() + 1));
-    for (std::string tok; std::getline(in, tok, ',');) args.push_back(tok);
+    // Empty tokens are kept ("random:0.3," has an empty budget), so they
+    // fail the number reads instead of vanishing.
+    for (std::size_t b = kind.size() + 1;;) {
+      const std::size_t e = spec.find(',', b);
+      args.push_back(spec.substr(b, e - b));
+      if (e == std::string::npos) break;
+      b = e + 1;
+    }
   }
   std::uint64_t u64(std::size_t i) {
     std::uint64_t v = 0;
@@ -260,7 +267,10 @@ Args::Args(int argc, char** argv) {
 std::uint64_t Args::u64(const std::string& key, std::uint64_t fallback) const {
   queried_.push_back(key);
   for (const auto& [k, v] : kv_) {
-    if (k == key && !v.empty()) return std::strtoull(v.c_str(), nullptr, 10);
+    if (k != key || v.empty()) continue;
+    std::uint64_t x = 0;
+    if (parse_u64_full(v, &x)) return x;
+    invalid_.push_back("--" + k + "=" + v);
   }
   return fallback;
 }
@@ -268,9 +278,19 @@ std::uint64_t Args::u64(const std::string& key, std::uint64_t fallback) const {
 double Args::f64(const std::string& key, double fallback) const {
   queried_.push_back(key);
   for (const auto& [k, v] : kv_) {
-    if (k == key && !v.empty()) return std::strtod(v.c_str(), nullptr);
+    if (k != key || v.empty()) continue;
+    double x = 0.0;
+    if (parse_f64_full(v, &x)) return x;
+    invalid_.push_back("--" + k + "=" + v);
   }
   return fallback;
+}
+
+unsigned Args::workers(const std::string& key) const {
+  const std::uint64_t n = u64(key, 1);
+  if (n <= kMaxWorkers) return ParallelExecutor::resolve_threads(static_cast<unsigned>(n));
+  invalid_.push_back("--" + key + "=" + std::to_string(n));
+  return 1;
 }
 
 std::string Args::str(const std::string& key, const std::string& fallback) const {
@@ -311,9 +331,12 @@ std::vector<std::string> Args::unknown_keys(const std::vector<std::string>& know
     const std::string tok = "--" + k;
     if (!ok && !reported(tok)) out.push_back(tok);
   }
-  // Malformed tokens (wrong dash count, bare key=value) are never
-  // acceptable, whatever the program's key list.
+  // Malformed tokens (wrong dash count, bare key=value) and values an
+  // accessor could not use are never acceptable, whatever the key list.
   for (const auto& raw : malformed_) {
+    if (!reported(raw)) out.push_back(raw);
+  }
+  for (const auto& raw : invalid_) {
     if (!reported(raw)) out.push_back(raw);
   }
   return out;

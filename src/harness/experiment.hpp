@@ -124,36 +124,48 @@ Replicates replicate(const Scenario& scenario, int reps, std::uint64_t base_seed
 /// Minimal --key=value argument parser shared by benches and examples.
 ///
 /// Misspelled flags are a silent hazard (--thread=8 used to run serial
-/// without a word), so every entry point is expected to validate: either
-/// list the accepted keys up front via `unknown_keys(known)`, or query
-/// all flags first and call `unknown_keys()` — both return the keys the
-/// program does not understand, and callers print usage and exit nonzero
-/// when the list is non-empty. The suite runner does this automatically
-/// for every bench.
+/// without a word), and so are loose numbers (--reps=abc used to run 0
+/// replicates), so every entry point is expected to validate: query all
+/// flags first, then call `unknown_keys()` (with the accepted-key list if
+/// some keys were not queried) — it returns the flags the program does
+/// not understand and the values it could not use, and callers print
+/// usage and exit 2 when the list is non-empty. The suite runner does
+/// this automatically for every bench.
 class Args {
  public:
+  /// The largest --threads=/--shards= value workers() accepts (the pack
+  /// loader's `shards` bound too).
+  static constexpr unsigned kMaxWorkers = 4096;
+
   Args(int argc, char** argv);
 
+  /// Numbers are read whole (parse_u64_full / parse_f64_full): a value
+  /// that does not parse yields `fallback` and is reported by
+  /// unknown_keys().
   std::uint64_t u64(const std::string& key, std::uint64_t fallback) const;
   double f64(const std::string& key, double fallback) const;
   std::string str(const std::string& key, const std::string& fallback) const;
   bool flag(const std::string& key) const;
+  /// THE --threads=/--shards= mapping to a worker count (default 1): 0
+  /// means every core, 1..kMaxWorkers is taken literally, and anything
+  /// else yields 1 and is reported by unknown_keys().
+  unsigned workers(const std::string& key) const;
 
   /// Every --key present on the command line, in order (duplicates kept).
   std::vector<std::string> keys() const;
 
   /// Command-line tokens the program does not understand, ready to print:
   /// "--key" for flags neither in `known` nor ever queried by an accessor,
-  /// plus every malformed token verbatim (single-dash or bare key=value —
-  /// these never reach the accessors at all). Call with the full
-  /// accepted-key list, or with no argument after querying every flag the
-  /// program understands.
+  /// every malformed token verbatim (single-dash or bare key=value —
+  /// these never reach the accessors at all), and "--key=value" for each
+  /// value a numeric accessor rejected so far.
   std::vector<std::string> unknown_keys(const std::vector<std::string>& known = {}) const;
 
  private:
   std::vector<std::pair<std::string, std::string>> kv_;
   std::vector<std::string> malformed_;
   mutable std::vector<std::string> queried_;
+  mutable std::vector<std::string> invalid_;
 };
 
 }  // namespace lowsense

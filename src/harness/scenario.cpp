@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "harness/json_writer.hpp"
-#include "harness/suite.hpp"
 #include "protocols/registry.hpp"
 
 namespace lowsense {
@@ -66,27 +65,16 @@ bool parse_expectation(const std::string& rhs, PackExpectation* out, std::string
   return true;
 }
 
-// Post-section validation: everything a runner would otherwise discover
-// late. `where` positions the error at the section header's line.
+// Post-section validation of what no single key can settle (the specs
+// are checked at their own lines). `where` positions the error at the
+// section header's line.
 bool finalize_entry(const PackEntry& e, const std::string& where, std::string* error) {
   if (e.protocol.empty()) {
     *error = where + ": entry '" + e.name + "' needs a protocol";
     return false;
   }
-  if (!make_protocol(e.protocol)) {
-    *error = where + ": unknown protocol '" + e.protocol + "'";
-    return false;
-  }
   if (e.arrivals.empty()) {
     *error = where + ": entry '" + e.name + "' needs an arrivals spec";
-    return false;
-  }
-  if (!parse_arrivals_spec(e.arrivals)) {
-    *error = where + ": malformed arrivals spec '" + e.arrivals + "'";
-    return false;
-  }
-  if (!parse_jammer_spec(e.jammer, e.jam_seed)) {
-    *error = where + ": malformed jammer spec '" + e.jammer + "'";
     return false;
   }
   if (e.budget == 0 && e.horizon == 0) {
@@ -203,10 +191,22 @@ bool parse_scenario_pack(std::istream& in, const std::string& origin, ScenarioPa
     };
 
     if (key == "protocol") {
+      if (!val.empty() && !make_protocol(val)) {
+        *error = where(lineno) + ": unknown protocol '" + val + "'";
+        return false;
+      }
       current->protocol = val;
     } else if (key == "arrivals") {
+      if (!val.empty() && !parse_arrivals_spec(val)) {
+        *error = where(lineno) + ": malformed arrivals spec '" + val + "'";
+        return false;
+      }
       current->arrivals = val;
     } else if (key == "jammer") {
+      if (!parse_jammer_spec(val)) {
+        *error = where(lineno) + ": malformed jammer spec '" + val + "'";
+        return false;
+      }
       current->jammer = val;
     } else if (key == "jam-seed") {
       if (!want_u64(&current->jam_seed)) return false;
@@ -219,8 +219,9 @@ bool parse_scenario_pack(std::istream& in, const std::string& origin, ScenarioPa
     } else if (key == "shards") {
       std::uint64_t v = 0;
       if (!want_u64(&v)) return false;
-      if (v == 0 || v > 4096) {
-        *error = where(lineno) + ": shards must be in [1, 4096]";
+      if (v == 0 || v > Args::kMaxWorkers) {
+        *error = where(lineno) + ": shards must be in [1, " +
+                 std::to_string(Args::kMaxWorkers) + "]";
         return false;
       }
       current->shards = static_cast<unsigned>(v);
@@ -403,14 +404,13 @@ PackEntryOutcome run_pack_entry(const PackEntry& entry, const PackRunner& runner
   return out;
 }
 
-std::vector<PackEntryOutcome> run_scenario_pack(BenchContext& ctx, const ScenarioPack& pack) {
+std::vector<PackEntryOutcome> run_scenario_pack(const ScenarioPack& pack, const PackRunner& runner,
+                                               EngineKind engine,
+                                               const std::vector<ResultSink*>& sinks) {
   std::vector<PackEntryOutcome> outcomes;
   outcomes.reserve(pack.entries.size());
   for (const PackEntry& entry : pack.entries) {
-    PackEntryOutcome out = run_pack_entry(entry, [&ctx](Scenario s, std::uint64_t seed,
-                                                        const std::vector<Observer*>& obs) {
-      return ctx.run_one(std::move(s), seed, obs);
-    });
+    PackEntryOutcome out = run_pack_entry(entry, runner);
 
     ScenarioResult res;
     res.name = entry.name;
@@ -418,23 +418,23 @@ std::vector<PackEntryOutcome> run_scenario_pack(BenchContext& ctx, const Scenari
                   {"arrivals", entry.arrivals},
                   {"jammer", entry.jammer},
                   {"seed", std::to_string(entry.seed)}};
-    res.engine = engine_name(ctx.engine());
+    res.engine = engine_name(engine);
     res.reps = 1;
     for (const std::string& m : pack_metric_names()) {
       if (m.rfind("steady_", 0) == 0 && !out.has_steady) continue;
       res.metrics.push_back({m, Summary::of({out.metric(m)})});
     }
     res.total_active_slots = out.run.counters.active_slots;
-    ctx.record(std::move(res));
+    for (auto* s : sinks) s->scenario(res);
 
+    auto check = [&sinks](const CheckResult& c) {
+      for (auto* s : sinks) s->check(c);
+    };
     if (!out.expected_digest.empty()) {
-      ctx.check(entry.name + ": digest", out.digest_ok,
-                "got " + out.digest +
-                    (out.digest_ok ? "" : " want " + out.expected_digest));
+      check({entry.name + ": digest", out.digest_ok,
+             "got " + out.digest + (out.digest_ok ? "" : " want " + out.expected_digest)});
     }
-    for (const auto& [text, pass] : out.expect_results) {
-      ctx.check(entry.name + ": " + text, pass);
-    }
+    for (const auto& [text, pass] : out.expect_results) check({entry.name + ": " + text, pass, ""});
     outcomes.push_back(std::move(out));
   }
   return outcomes;

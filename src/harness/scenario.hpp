@@ -21,16 +21,16 @@
 //   expect   = drained
 //   digest   = 0123456789abcdef
 //
-// Parsing is EAGER in the PR-3 sense: unknown keys, unknown protocol
-// names, malformed arrival/jammer specs, bad numbers, and expectations
-// on metrics that need a missing `window` are all rejected at load time
-// with file:line positions — a pack that parses will run.
+// Parsing is EAGER: unknown keys, unknown protocol names, malformed
+// arrival/jammer specs, bad numbers, and expectations on metrics that
+// need a missing `window` are all rejected at load time with file:line
+// positions (a bad value at its key's line) — a pack that parses will run.
 //
 // The `digest` is the TraceDigest of the run (see metrics/trace.hpp):
 // engine- and shard-invariant by the determinism contract, so a pinned
-// digest is a cross-engine, cross-shard golden value. `pack_diff.py` and
-// the CI pack-verify lane diff regenerated manifests against the
-// checked-in ones.
+// digest is a cross-engine, cross-shard golden value. The pack_verify_*
+// ctest lanes (cmake/InvarianceMatrix.cmake) byte-compare regenerated
+// manifests with the checked-in ones; `pack_diff.py` explains a drift.
 #pragma once
 
 #include <cstdint>
@@ -40,12 +40,11 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "harness/report.hpp"
 #include "harness/steady_state.hpp"
 #include "metrics/trace.hpp"
 
 namespace lowsense {
-
-class BenchContext;
 
 /// One `expect = ...` line: `metric >= value`, `metric <= value`, or the
 /// bare `drained` sugar.
@@ -141,11 +140,15 @@ using PackRunner =
     std::function<RunResult(Scenario scenario, std::uint64_t seed, const std::vector<Observer*>&)>;
 PackEntryOutcome run_pack_entry(const PackEntry& entry, const PackRunner& runner);
 
-/// Suite integration: runs every entry via ctx.run_one (so --engine= and
-/// --shards= overrides apply), records a ScenarioResult per entry, and
-/// turns pinned digests + expectations into ctx.check verdicts. Returns
-/// the outcomes in pack order for manifest writing.
-std::vector<PackEntryOutcome> run_scenario_pack(BenchContext& ctx, const ScenarioPack& pack);
+/// Runs every entry through `runner` (run_pack_entry) and reports to
+/// `sinks`: one ScenarioResult per entry (reps = 1, the pack metrics,
+/// tagged with `engine`, the engine the runner applies) and one check per
+/// pinned digest and per `expect`. Framing the document (begin, section,
+/// end) is the caller's. Returns the outcomes in pack order, for the
+/// manifest and the exit status.
+std::vector<PackEntryOutcome> run_scenario_pack(const ScenarioPack& pack, const PackRunner& runner,
+                                               EngineKind engine,
+                                               const std::vector<ResultSink*>& sinks);
 
 /// Renders the full manifest (one line per outcome, trailing newline).
 std::string render_pack_manifest(const ScenarioPack& pack,

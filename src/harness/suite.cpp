@@ -1,15 +1,12 @@
 #include "harness/suite.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
-
-#include "harness/scenario.hpp"
 
 namespace lowsense {
 
@@ -36,8 +33,7 @@ void print_usage(const BenchDef& def, std::FILE* to) {
   std::fprintf(to,
                "usage: bench [--reps=N] [--seed=S] [--threads=K] [--shards=M]\n"
                "             [--engine=event|slot] [--jammer=SPEC] [--jam-seed=J]\n"
-               "             [--arrivals=SPEC] [--json=PATH] [--pack=FILE[:name]]\n"
-               "             [--manifest=PATH] [--list] [--help]\n");
+               "             [--arrivals=SPEC] [--json=PATH] [--list] [--help]\n");
   std::fprintf(to, "defaults: --reps=%d --seed=%llu --threads=1 --engine=event\n", def.default_reps,
                static_cast<unsigned long long>(def.default_seed));
   if (!def.params.empty()) {
@@ -52,6 +48,7 @@ void print_usage(const BenchDef& def, std::FILE* to) {
                "--shards=M shards every RUN's packet population over M threads (0 = all\n"
                "  cores; independent of --threads=, which stays replicate-level). Sharding\n"
                "  changes wall time, never results: --shards=M output == --shards=1 output.\n"
+               "  Both take at most 4096.\n"
                "--jammer/--arrivals override every scenario's adversary/arrival process:\n"
                "  jammers : none | random:rate[,budget] | burst:period,len | victim:id,budget |\n"
                "            blanket:budget | band:lo,hi,budget |\n"
@@ -59,10 +56,7 @@ void print_usage(const BenchDef& def, std::FILE* to) {
                "  arrivals: batch:N | poisson:rate,N | aqt:lambda,S,pattern,N\n"
                "--jam-seed=J pins randomized jammers to one fixed adversary across replicates.\n"
                "--json=PATH writes the structured lowsense-bench/v1 result document.\n"
-               "--pack=FILE[:name] runs the scenario pack (every entry, or just `name`)\n"
-               "  instead of the bench body; entry digests/expectations become checks,\n"
-               "  and any failed one makes the exit status 1.\n"
-               "--manifest=PATH writes the pack's lowsense-pack/v1 JSONL manifest.\n");
+               "Scenario packs run through lowsense_cli --pack=.\n");
 }
 
 void print_list(const BenchDef& def) {
@@ -95,33 +89,44 @@ BenchParam BenchParam::str(std::string key, std::string dflt, std::string help) 
 }
 
 const std::vector<std::string>& suite_flag_keys() {
-  static const std::vector<std::string> kKeys = {"reps",     "seed",     "threads",
-                                                 "shards",   "engine",   "jammer",
-                                                 "jam-seed", "arrivals", "json",
-                                                 "pack",     "manifest", "list",
-                                                 "help"};
+  static const std::vector<std::string> kKeys = {"reps",     "seed",     "threads", "shards",
+                                                 "engine",   "jammer",   "jam-seed", "arrivals",
+                                                 "json",     "list",     "help"};
   return kKeys;
 }
 
 bool parse_suite_options(const BenchDef& def, const Args& args, SuiteOptions* out,
                          std::string* error) {
-  out->reps = static_cast<int>(args.u64("reps", static_cast<std::uint64_t>(def.default_reps)));
-  if (out->reps <= 0) {
-    *error = "--reps= must be >= 1";
+  const std::uint64_t reps = args.u64("reps", static_cast<std::uint64_t>(def.default_reps));
+  out->seed = args.u64("seed", def.default_seed);
+  out->threads = args.workers("threads");
+  out->shards = args.workers("shards");
+  out->jam_seed = args.u64("jam-seed", 0);
+  // Reading the bench params here puts a malformed one on the same
+  // usage + exit 2 path as an unknown flag.
+  std::vector<std::string> known = suite_flag_keys();
+  for (const auto& p : def.params) {
+    known.push_back(p.key);
+    if (p.kind == BenchParam::Kind::kU64) (void)args.u64(p.key, 0);
+    if (p.kind == BenchParam::Kind::kF64) (void)args.f64(p.key, 0.0);
+  }
+  const auto unknown = args.unknown_keys(known);
+  if (!unknown.empty()) {
+    *error = "unknown flag(s) or bad value(s):";
+    for (const auto& k : unknown) *error += " " + k;
     return false;
   }
-  out->seed = args.u64("seed", def.default_seed);
-  out->threads =
-      ParallelExecutor::resolve_threads(static_cast<unsigned>(args.u64("threads", 1)));
-  out->shards =
-      ParallelExecutor::resolve_threads(static_cast<unsigned>(args.u64("shards", 1)));
+  if (reps == 0 || reps > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    *error = "--reps= must be in [1, 2147483647]";
+    return false;
+  }
+  out->reps = static_cast<int>(reps);
   try {
     out->engine = parse_engine(args.str("engine", "event"));
   } catch (const std::invalid_argument& e) {
     *error = e.what();
     return false;
   }
-  out->jam_seed = args.u64("jam-seed", 0);
   out->jammer_spec = args.str("jammer", "");
   if (!out->jammer_spec.empty() && !parse_jammer_spec(out->jammer_spec, out->jam_seed)) {
     *error = "bad --jammer= spec '" + out->jammer_spec + "'";
@@ -133,15 +138,6 @@ bool parse_suite_options(const BenchDef& def, const Args& args, SuiteOptions* ou
     return false;
   }
   out->json_path = args.str("json", "");
-  out->pack_ref = args.str("pack", "");
-  out->manifest_path = args.str("manifest", "");
-  if (!out->pack_ref.empty()) {
-    ScenarioPack pack;
-    if (!load_scenario_pack_ref(out->pack_ref, &pack, error)) return false;
-  } else if (!out->manifest_path.empty()) {
-    *error = "--manifest= needs --pack=";
-    return false;
-  }
   return true;
 }
 
@@ -295,18 +291,13 @@ BenchMeta make_bench_meta(const BenchDef& def, const Args& args, const SuiteOpti
 
 int run_bench_suite(const BenchDef& def, int argc, char** argv) {
   const Args args(argc, argv);
-
-  std::vector<std::string> known = suite_flag_keys();
-  for (const auto& p : def.params) known.push_back(p.key);
-  const auto unknown = args.unknown_keys(known);
-  if (!unknown.empty()) {
-    std::string bad;
-    for (const auto& k : unknown) bad += " " + k;
-    std::fprintf(stderr, "unknown flag(s):%s\n\n", bad.c_str());
+  SuiteOptions opts;
+  std::string error;
+  if (!parse_suite_options(def, args, &opts, &error)) {
+    std::fprintf(stderr, "%s\n\n", error.c_str());
     print_usage(def, stderr);
     return 2;
   }
-
   if (args.flag("help")) {
     print_usage(def, stdout);
     return 0;
@@ -314,14 +305,6 @@ int run_bench_suite(const BenchDef& def, int argc, char** argv) {
   if (args.flag("list")) {
     print_list(def);
     return 0;
-  }
-
-  SuiteOptions opts;
-  std::string error;
-  if (!parse_suite_options(def, args, &opts, &error)) {
-    std::fprintf(stderr, "%s\n\n", error.c_str());
-    print_usage(def, stderr);
-    return 2;
   }
 
   TextSink text;
@@ -338,36 +321,10 @@ int run_bench_suite(const BenchDef& def, int argc, char** argv) {
   BenchContext ctx(def, args, opts, sinks, pool ? &*pool : nullptr);
   const BenchMeta meta = make_bench_meta(def, args, opts);
 
-  bool pack_ok = true;
   const auto t0 = std::chrono::steady_clock::now();
   for (auto* s : sinks) s->begin(meta);
   try {
-    if (!opts.pack_ref.empty()) {
-      // Pack mode: the pack replaces the bench body; parse_suite_options
-      // already validated the reference, so a failure here is a race on
-      // the file, not a CLI error.
-      ScenarioPack pack;
-      std::string perr;
-      if (!load_scenario_pack_ref(opts.pack_ref, &pack, &perr)) {
-        std::fprintf(stderr, "%s\n", perr.c_str());
-        return 1;
-      }
-      ctx.section("pack: " + (pack.name.empty() ? opts.pack_ref : pack.name));
-      if (!pack.description.empty()) ctx.note(pack.description);
-      const std::vector<PackEntryOutcome> outcomes = run_scenario_pack(ctx, pack);
-      pack_ok = std::all_of(outcomes.begin(), outcomes.end(),
-                            [](const PackEntryOutcome& o) { return o.ok(); });
-      if (!opts.manifest_path.empty()) {
-        std::ofstream mf(opts.manifest_path, std::ios::binary);
-        mf << render_pack_manifest(pack, outcomes);
-        if (!mf) {
-          std::fprintf(stderr, "cannot write manifest '%s'\n", opts.manifest_path.c_str());
-          return 1;
-        }
-      }
-    } else {
-      def.body(ctx);
-    }
+    def.body(ctx);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench %s failed: %s\n", def.id.c_str(), e.what());
     return 1;
@@ -376,7 +333,7 @@ int run_bench_suite(const BenchDef& def, int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   for (auto* s : sinks) s->end(elapsed);
 
-  return !pack_ok || (json && !json->write_ok()) ? 1 : 0;
+  return json && !json->write_ok() ? 1 : 0;
 }
 
 }  // namespace lowsense

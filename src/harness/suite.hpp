@@ -7,8 +7,9 @@
 //       --reps= --seed= --threads= --shards= --engine=event|slot
 //       --jammer=SPEC --jam-seed= --arrivals=SPEC --json=PATH
 //       --list --help
-//     plus the declared bench params, with unknown/misspelled flags
-//     rejected (usage + nonzero exit) instead of silently ignored;
+//     plus the declared bench params, with unknown/misspelled flags and
+//     malformed numbers rejected (usage + exit 2) instead of silently
+//     ignored;
 //   * replicate_parallel execution on one persistent thread pool, with
 //     results always in seed order so serial and parallel runs are
 //     byte-identical;
@@ -70,18 +71,12 @@ struct SuiteOptions {
   std::uint64_t jam_seed = 0;
   std::string arrivals_spec;  ///< empty = keep the bench's own arrivals
   std::string json_path;
-  /// --pack=FILE[:name]: run the scenario pack INSTEAD of the bench body
-  /// (the bench still provides the CLI identity and the uniform flags —
-  /// --engine/--shards overrides apply to every entry). Validated eagerly
-  /// at parse time like the jammer/arrival specs.
-  std::string pack_ref;
-  /// --manifest=PATH with --pack=: write the pack's JSONL manifest.
-  std::string manifest_path;
 };
 
 /// Resolves the uniform flags against `def`'s defaults, validating engine
-/// names and jammer/arrival specs eagerly. Returns false and sets *error
-/// on a malformed value. Exposed separately so the flag round-trip tests
+/// names, jammer/arrival specs and every number (uniform or bench param)
+/// eagerly. Returns false and sets *error on an unknown flag or a
+/// malformed value. Exposed separately so the flag round-trip tests
 /// can exercise parsing without running a bench.
 bool parse_suite_options(const BenchDef& def, const Args& args, SuiteOptions* out,
                          std::string* error);
@@ -170,8 +165,7 @@ BenchMeta make_bench_meta(const BenchDef& def, const Args& args, const SuiteOpti
 /// sinks and the pool, run the body, close the sinks. Returns 0 on a
 /// completed run (a bench body's shape-check verdicts are reported, not
 /// exit codes, so smoke configs with tiny sweeps stay usable), 1 on a
-/// crashed body, an unwritable --json= path, or a --pack= run whose pinned
-/// digest or `expect` failed (as lowsense_cli), 2 on a CLI error.
+/// crashed body or an unwritable --json= path, 2 on a CLI error.
 int run_bench_suite(const BenchDef& def, int argc, char** argv);
 
 }  // namespace lowsense

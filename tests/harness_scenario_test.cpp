@@ -1,8 +1,7 @@
 // Scenario-pack DSL tests: parse round-trip, eager malformed-spec
-// rejection with origin:line positions (same exit-2 policy PR 3 set for
-// --jammer= specs, here exercised through parse_suite_options), digest
-// stability across engine x shards, and the checked-in golden fixture
-// under tests/data/.
+// rejection with origin:line positions, digest stability across engine x
+// shards, the run_scenario_pack sink report, and the checked-in golden
+// fixture under tests/data/.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -11,7 +10,6 @@
 
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
-#include "harness/suite.hpp"
 #include "protocols/registry.hpp"
 
 namespace lowsense {
@@ -144,7 +142,7 @@ TEST(ScenarioPackReject, UnknownProtocol) {
       "protocol = warp-drive\n"
       "arrivals = batch:8\n"
       "budget   = 100\n");
-  EXPECT_NE(err.find("unknown protocol 'warp-drive'"), std::string::npos) << err;
+  EXPECT_NE(err.find("test.pack:2: unknown protocol 'warp-drive'"), std::string::npos) << err;
 }
 
 TEST(ScenarioPackReject, MalformedArrivalsSpec) {
@@ -171,17 +169,20 @@ TEST(ScenarioPackReject, MalformedJammerSpec) {
 // an error — not a truncation ("batch:1e3" -> 1 packet), a wrap
 // ("batch:-1" -> 2^64-1 packets), or a prefix ("random:0.3x" -> 0.3).
 // Values the constructors reject are errors at parse time too, not an
-// exception when the run starts.
+// exception when the run starts. An empty argument (a trailing comma) is
+// an error, not a missing optional one.
 const char* const kBadArrivals[] = {
     "batch:1e3",           "batch:-1",           "batch:+5",
     "batch: 5",            "poisson:0.05x,100",  "poisson:0.05,1e2",
     "aqt:0.5,8x,front,10", "aqt:0.5,8,front,-1", "batch:18446744073709551616",
     "poisson:0,100",       "aqt:2,8,front,10",   "aqt:0.5,1,front,10",
+    "batch:8,",
 };
 const char* const kBadJammers[] = {
     "random:0.3x",  "random:0.3,-1", "random: 0.3", "burst:10,2.5",
     "victim:1e2,5", "blanket:-3",    "band:0,1x,5", "randband:0,1,0.5,10,0.1z",
-    "randband:0,1,0.5,1.5", "random:1.5", "band:2,1,5",
+    "randband:0,1,0.5,1.5", "random:1.5", "band:2,1,5", "random:0.3,",
+    "randband:0.1,0.5,0.3,,",
 };
 
 TEST(SpecNumbers, SpecParsersRejectLooseNumbersAndBadValues) {
@@ -218,8 +219,9 @@ TEST(SpecNumbers, WholeStringParsersRejectPartialAndOutOfRangeInput) {
 }
 
 TEST(SpecNumbers, PackWithABadSpecFailsToLoadAtItsEntry) {
-  // The bad entry is the second one, so the position must be its own
-  // header line (test.pack:5), not the start of the file.
+  // The bad entry is the second one, so the position must be the bad
+  // key's own line (arrivals on test.pack:7, jammer on test.pack:8), not
+  // the start of the file or the entry's header.
   const std::string ok_entry =
       "[ok]\n"
       "protocol = lsb\n"
@@ -231,7 +233,7 @@ TEST(SpecNumbers, PackWithABadSpecFailsToLoadAtItsEntry) {
                                         "protocol = lsb\n"
                                         "arrivals = " +
                                         spec + "\nbudget   = 100\n");
-    EXPECT_NE(err.find("test.pack:5: malformed arrivals spec '" + std::string(spec) + "'"),
+    EXPECT_NE(err.find("test.pack:7: malformed arrivals spec '" + std::string(spec) + "'"),
               std::string::npos)
         << err;
   }
@@ -242,7 +244,7 @@ TEST(SpecNumbers, PackWithABadSpecFailsToLoadAtItsEntry) {
                                         "arrivals = batch:8\n"
                                         "jammer   = " +
                                         spec + "\nbudget   = 100\n");
-    EXPECT_NE(err.find("test.pack:5: malformed jammer spec '" + std::string(spec) + "'"),
+    EXPECT_NE(err.find("test.pack:8: malformed jammer spec '" + std::string(spec) + "'"),
               std::string::npos)
         << err;
   }
@@ -329,30 +331,6 @@ TEST(ScenarioPackReject, EmptyPackHasNoScenarios) {
   EXPECT_NE(err.find("no scenarios"), std::string::npos) << err;
 }
 
-// The suite runner rejects a bad --pack= at option-parse time: this is
-// the path behind its exit-2-with-usage behavior.
-TEST(ScenarioPackReject, SuiteOptionsRejectBadPackRefEagerly) {
-  BenchDef def;
-  def.id = "TX";
-  def.default_reps = 1;
-  def.default_seed = 1;
-  def.body = [](BenchContext&) {};
-
-  std::vector<const char*> argv = {"prog", "--pack=/no/such/file.pack"};
-  const Args args(static_cast<int>(argv.size()), const_cast<char**>(argv.data()));
-  SuiteOptions opts;
-  std::string error;
-  EXPECT_FALSE(parse_suite_options(def, args, &opts, &error));
-  EXPECT_NE(error.find("cannot open pack file"), std::string::npos) << error;
-
-  std::vector<const char*> argv2 = {"prog", "--manifest=/tmp/x.jsonl"};
-  const Args args2(static_cast<int>(argv2.size()), const_cast<char**>(argv2.data()));
-  SuiteOptions opts2;
-  std::string error2;
-  EXPECT_FALSE(parse_suite_options(def, args2, &opts2, &error2));
-  EXPECT_NE(error2.find("--pack="), std::string::npos) << error2;
-}
-
 // ---------------------------------------------- digest engine invariance
 
 TEST(ScenarioPackDigest, StableAcrossEngineAndShardGrid) {
@@ -429,6 +407,58 @@ TEST(ScenarioPackGolden, RefFilterSelectsOneEntry) {
   EXPECT_FALSE(
       load_scenario_pack_ref(golden_path("golden_scenario.pack") + ":nope", &missing, &error));
   EXPECT_NE(error.find("no scenario 'nope'"), std::string::npos) << error;
+}
+
+// ------------------------------------------------------ sink reporting
+
+// run_scenario_pack reports one lowsense-bench/v1 scenario per entry and
+// one check per pinned digest and per `expect` (what lowsense_cli --json=
+// writes in pack mode); a failed check flips "passed" and the outcome.
+TEST(ScenarioPackReport, OneScenarioPerEntryWithItsDigestAndExpectChecks) {
+  const PackRunner runner = [](Scenario sc, std::uint64_t seed, const std::vector<Observer*>& obs) {
+    return run_scenario(sc, seed, obs);
+  };
+  const struct {
+    const char* file;
+    std::vector<const char*> needles;
+    bool passed;
+  } cases[] = {
+      {"golden_scenario.pack",
+       {"\"name\":\"golden-lsb\",\"section\":\"pack: golden-fixture\"",
+        "\"name\":\"golden-beb-poisson\"", "\"engine\":\"slot\",\"reps\":1",
+        "\"what\":\"golden-lsb: digest\",\"pass\":true,\"detail\":\"got 1ab883aa32a06418\"",
+        "\"what\":\"golden-lsb: drained\",\"pass\":true",
+        "\"what\":\"golden-beb-poisson: departures >= 1\",\"pass\":true",
+        "\"steady_rate\":"},
+       true},
+      {"failing_checks.pack",
+       {"\"name\":\"wrong-digest\"", "\"name\":\"failing-expect\"",
+        "\"what\":\"wrong-digest: digest\",\"pass\":false,\"detail\":\"got ",
+        " want 0000000000000000\"",
+        "\"what\":\"failing-expect: departures >= 17\",\"pass\":false"},
+       false},
+  };
+  for (const auto& c : cases) {
+    ScenarioPack pack;
+    std::string error;
+    ASSERT_TRUE(load_scenario_pack(golden_path(c.file), &pack, &error)) << error;
+    JsonSink json("", /*include_timing=*/false);
+    json.begin({});
+    json.section("pack: " + pack.name);
+    const std::vector<PackEntryOutcome> outcomes =
+        run_scenario_pack(pack, runner, EngineKind::kSlot, {&json});
+    json.end(0.0);
+
+    ASSERT_EQ(outcomes.size(), pack.entries.size());
+    const std::string& doc = json.rendered();
+    for (const char* needle : c.needles) {
+      EXPECT_NE(doc.find(needle), std::string::npos) << c.file << ": missing " << needle << "\n"
+                                                     << doc;
+    }
+    EXPECT_NE(doc.find(c.passed ? "\"passed\":true" : "\"passed\":false"), std::string::npos)
+        << doc;
+    for (const PackEntryOutcome& o : outcomes) EXPECT_EQ(o.ok(), c.passed) << o.scenario;
+  }
 }
 
 }  // namespace

@@ -126,12 +126,41 @@ TEST(SuiteOptionsTest, BadValuesAreRejectedEagerly) {
 }
 
 TEST(SuiteRunnerTest, UnknownFlagExitsNonzeroWithoutRunningTheBody) {
-  bool ran = false;
-  BenchDef def = mini_def();
-  def.body = [&ran](BenchContext&) { ran = true; };
-  std::vector<const char*> argv{"prog", "--thread=8"};  // the classic typo
-  EXPECT_EQ(run_bench_suite(def, 2, const_cast<char**>(argv.data())), 2);
-  EXPECT_FALSE(ran);
+  // --thread=8 is the classic typo; --pack=/--manifest= are not suite
+  // flags (scenario packs run through lowsense_cli), and the pack is
+  // never opened; a malformed number takes the same path.
+  for (const char* bad :
+       {"--thread=8", "--pack=/no/such/file.pack", "--manifest=/tmp/x.jsonl", "--reps=abc"}) {
+    bool ran = false;
+    BenchDef def = mini_def();
+    def.body = [&ran](BenchContext&) { ran = true; };
+    std::vector<const char*> argv{"prog", bad};
+    EXPECT_EQ(run_bench_suite(def, 2, const_cast<char**>(argv.data())), 2) << bad;
+    EXPECT_FALSE(ran) << bad;
+  }
+}
+
+// Numbers are read whole, and --threads=/--shards= are capped at 4096:
+// each of these used to run (--reps=abc as 0 replicates, --threads=-1 as a
+// pool of 2^32-1 workers). Parsed only, never run: a broken check would
+// try to start that many threads.
+TEST(SuiteOptionsTest, MalformedOrHugeNumbersAreRejectedAtParseTime) {
+  for (const char* bad :
+       {"--reps=abc", "--reps=3x", "--seed=-1", "--seed=1e3", "--jam-seed=0x10", "--threads=-1",
+        "--shards=-1", "--threads=4097", "--shards=18446744073709551615", "--shards=2.5",
+        "--n=1e3", "--n=-4", "--rate=0.25x", "--rate= 1", "--reps=4294967296"}) {
+    SuiteOptions opts;
+    std::string error;
+    EXPECT_FALSE(parse_suite_options(mini_def(), make_args({bad}), &opts, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+  SuiteOptions opts;
+  std::string error;
+  ASSERT_TRUE(parse_suite_options(mini_def(), make_args({"--threads=4096", "--shards=4096"}),
+                                  &opts, &error))
+      << error;
+  EXPECT_EQ(opts.threads, 4096u);
+  EXPECT_EQ(opts.shards, 4096u);
 }
 
 TEST(SuiteRunnerTest, ListPrintsDeclarationAndSkipsTheBody) {
@@ -179,44 +208,6 @@ TEST(SuiteRunnerTest, EndToEndWritesSchemaStableJson) {
     EXPECT_NE(doc.find(needle), std::string::npos) << "missing " << needle << " in:\n" << doc;
   }
   EXPECT_EQ(doc.find("\"simd\""), std::string::npos) << doc;
-}
-
-// A --pack= run fails like lowsense_cli: a pinned digest or an `expect`
-// that does not hold makes the exit status 1 (the cmake pack checks rely
-// on it), while the same pack with every check holding exits 0.
-TEST(SuiteRunnerTest, PackModeExitsOneOnAFailedDigestOrExpectation) {
-  const std::string entry =
-      "[tiny]\n"
-      "protocol = low-sensing\n"
-      "arrivals = batch:16\n"
-      "seed     = 3\n"
-      "budget   = 20000\n";
-  const struct {
-    const char* extra;
-    int rc;
-  } cases[] = {
-      {"expect = drained\n", 0},
-      {"digest = 0000000000000000\n", 1},
-      {"expect = departures >= 17\n", 1},
-  };
-  for (const auto& c : cases) {
-    const std::string path = ::testing::TempDir() + "/suite_exit.pack";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    const std::string text = entry + c.extra;
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-
-    BenchDef def = mini_def();
-    const std::string pack_flag = "--pack=" + path;
-    std::vector<const char*> argv{"prog", pack_flag.c_str()};
-    ::testing::internal::CaptureStdout();
-    const int rc = run_bench_suite(def, static_cast<int>(argv.size()),
-                                   const_cast<char**>(argv.data()));
-    const std::string out = ::testing::internal::GetCapturedStdout();
-    EXPECT_EQ(rc, c.rc) << c.extra << out;
-    EXPECT_EQ(out.find("[FAIL]") != std::string::npos, c.rc != 0) << c.extra << out;
-  }
 }
 
 // --------------------------------------------------------- JSON (golden)
@@ -397,6 +388,19 @@ TEST(ArgsUnknownKeys, SingleDashTypoFailsTheSuiteRunner) {
   std::vector<const char*> argv{"prog", "-threads=8"};
   EXPECT_EQ(run_bench_suite(def, 2, const_cast<char**>(argv.data())), 2);
   EXPECT_FALSE(ran);
+}
+
+TEST(ArgsUnknownKeys, ValuesTheAccessorsRejectAreReported) {
+  const Args args = make_args({"--reps=abc", "--rate=0.5x", "--threads=-1", "--shards=4097",
+                               "--seed=7", "--fast"});
+  EXPECT_EQ(args.u64("reps", 3), 3u);
+  EXPECT_EQ(args.f64("rate", 0.25), 0.25);
+  EXPECT_EQ(args.workers("threads"), 1u);
+  EXPECT_EQ(args.workers("shards"), 1u);
+  EXPECT_EQ(args.u64("seed", 1), 7u);
+  EXPECT_EQ(args.unknown_keys({"fast"}),
+            (std::vector<std::string>{"--reps=abc", "--rate=0.5x", "--threads=-1",
+                                      "--shards=4097"}));
 }
 
 TEST(ArgsUnknownKeys, KeysListsEverythingParsed) {
