@@ -18,6 +18,7 @@
 // replicates (their coins are slot-keyed, so any run replays exactly).
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
   const std::string proto = args.str("protocol", "low-sensing");
   const std::string arrivals_spec = args.str("arrivals", "batch:1000");
   const std::string jammer_spec = args.str("jammer", "none");
-  const int reps = static_cast<int>(args.u64("reps", 3));
+  const std::uint64_t reps_arg = args.u64("reps", 3);
   const std::uint64_t seed = args.u64("seed", 1);
   const std::uint64_t jam_seed = args.u64("jam-seed", 0);
   const unsigned threads = args.workers("threads");
@@ -105,38 +106,36 @@ int main(int argc, char** argv) {
   s.jammer = parse_jammer_spec(jammer_spec, jam_seed);
   s.config.max_active_slots = args.u64("max-active-slots", 50000000ULL);
   s.config.shards = shards;
-  EngineKind engine = EngineKind::kEvent;
-  try {
-    engine = parse_engine(args.str("engine", "event"));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n\n", e.what());
-    usage();
-    return 1;
-  }
-  s.engine = engine;
+  const std::string engine_arg = args.str("engine", "event");
 
+  // Every usage error prints usage and exits 2; exit 1 means a failed
+  // pinned digest or `expect`, or an output file that could not be written.
+  const auto usage_error = [](const std::string& message) {
+    std::fprintf(stderr, "%s\n\n", message.c_str());
+    usage();
+    return 2;
+  };
   // Every accepted flag has been queried above; anything left over is a
   // typo, and a silently ignored --thread=8 is worse than an error.
   const auto unknown = args.unknown_keys();
   if (!unknown.empty()) {
-    for (const auto& k : unknown) {
-      std::fprintf(stderr, "unknown flag or bad value %s\n", k.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    usage();
-    return 2;
+    std::string message = "unknown flag(s) or bad value(s):";
+    for (const auto& k : unknown) message += " " + k;
+    return usage_error(message);
   }
-
-  if (!make_protocol(proto)) {
-    std::fprintf(stderr, "unknown protocol '%s'\n\n", proto.c_str());
-    usage();
-    return 2;
+  if (reps_arg == 0 || reps_arg > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    return usage_error("--reps= must be in [1, 2147483647]");
   }
-  if (!s.arrivals || !s.jammer) {
-    std::fprintf(stderr, "bad arrivals/jammer spec\n\n");
-    usage();
-    return 2;
+  const int reps = static_cast<int>(reps_arg);
+  EngineKind engine = EngineKind::kEvent;
+  try {
+    engine = parse_engine(engine_arg);
+  } catch (const std::invalid_argument& e) {
+    return usage_error(e.what());
   }
+  s.engine = engine;
+  if (!make_protocol(proto)) return usage_error("unknown protocol '" + proto + "'");
+  if (!s.arrivals || !s.jammer) return usage_error("bad arrivals/jammer spec");
 
   std::optional<JsonSink> json;
   if (!json_path.empty()) json.emplace(json_path);
@@ -148,11 +147,7 @@ int main(int argc, char** argv) {
     // pack IS the scenario definition.
     ScenarioPack pack;
     std::string err;
-    if (!load_scenario_pack_ref(pack_ref, &pack, &err)) {
-      std::fprintf(stderr, "%s\n\n", err.c_str());
-      usage();
-      return 2;
-    }
+    if (!load_scenario_pack_ref(pack_ref, &pack, &err)) return usage_error(err);
     const std::string label = pack.name.empty() ? pack_ref : pack.name;
     std::printf("pack: %s  (%zu scenario%s)\n", label.c_str(), pack.entries.size(),
                 pack.entries.size() == 1 ? "" : "s");

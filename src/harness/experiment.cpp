@@ -179,14 +179,9 @@ RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
   RunConfig config = scenario.config;
   config.seed = seed;
 
-  if (scenario.engine == EngineKind::kSlot) {
-    SlotEngine engine(*factory, *arrivals, *jammer, config);
-    for (auto* obs : observers) engine.add_observer(obs);
-    return engine.run();
-  }
-  EventEngine engine(*factory, *arrivals, *jammer, config);
-  for (auto* obs : observers) engine.add_observer(obs);
-  return engine.run();
+  detail::SimCore core(*factory, *arrivals, *jammer, config);
+  for (auto* obs : observers) core.add_observer(obs);
+  return core.run(scenario.engine);
 }
 
 Summary Replicates::summarize(const std::function<double(const RunResult&)>& metric) const {

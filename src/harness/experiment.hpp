@@ -20,12 +20,6 @@
 
 namespace lowsense {
 
-/// Which engine executes the scenario.
-enum class EngineKind {
-  kEvent,  ///< geometric gap-skipping (default; exact for our protocols)
-  kSlot,   ///< slot-by-slot reference engine
-};
-
 /// Parses "event" / "slot" (the values benches accept for --engine=).
 /// Throws std::invalid_argument on anything else.
 EngineKind parse_engine(const std::string& name);

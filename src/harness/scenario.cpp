@@ -332,8 +332,10 @@ double PackEntryOutcome::metric(const std::string& name) const {
 
 std::string PackEntryOutcome::manifest_line(const std::string& pack_name) const {
   // Engine/shard-INVARIANT fields only: regenerating this line under any
-  // engine × shards combination must be byte-identical, so no timing, no
-  // engine name, no contention (FP agrees only to rounding).
+  // engine × shards combination must be byte-identical, so no timing and
+  // no engine name. No final contention either: it is the residue of the
+  // incremental Σ send_prob (a drained low-sensing run ends near 1e-15,
+  // not 0), rounding noise with nothing to say about the run.
   JsonWriter w;
   w.begin_object();
   w.member("schema", "lowsense-pack/v1");

@@ -81,7 +81,11 @@ class TraceCapture final : public Observer {
 ///    quiet spans, so only access-bearing slots are common ground (their
 ///    jam totals still reach the digest via the final counters);
 ///  * every floating-point observable (contention, windows, latency
-///    stats) — those agree only to rounding across engines.
+///    stats). They are bit-identical across engines and shard counts too
+///    (tests/sim_equivalence_test.cpp compares them exactly), but their
+///    last bits also follow the protocols' arithmetic, which a compiler,
+///    its flags (FMA contraction) or the math library can move without
+///    changing the discrete execution the digest is meant to pin.
 class TraceDigest final : public Observer {
  public:
   void on_arrival(Slot slot, PacketId id, const Protocol& proto) override;

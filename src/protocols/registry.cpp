@@ -1,5 +1,6 @@
 #include "protocols/registry.hpp"
 
+#include <cctype>
 #include <cstdlib>
 
 #include "protocols/binary_exponential.hpp"
@@ -37,7 +38,15 @@ std::unique_ptr<ProtocolFactory> make_protocol(const std::string& name) {
     return std::make_unique<WindowedEthernetFactory>();
   }
   if (name.rfind("aloha:", 0) == 0) {
-    const double p = std::strtod(name.c_str() + 6, nullptr);
+    // `p` is the whole rest of the name: "aloha:0.5x", "aloha:" and
+    // "aloha: 0.5" name no protocol.
+    const char* text = name.c_str() + 6;
+    char* end = nullptr;
+    const double p = std::strtod(text, &end);
+    if (std::isspace(static_cast<unsigned char>(*text)) || end == text ||
+        end != name.c_str() + name.size()) {
+      return nullptr;
+    }
     if (p > 0.0 && p <= 1.0) return std::make_unique<FixedProbabilityFactory>(p);
     return nullptr;
   }

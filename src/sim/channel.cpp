@@ -191,13 +191,6 @@ Slot SimCore::next_access_slot() const noexcept {
   return next;
 }
 
-bool SimCore::no_future_access() const noexcept {
-  for (const PacketShard& s : shards_) {
-    if (!s.wheel().empty()) return false;
-  }
-  return true;
-}
-
 void SimCore::depart(Slot t, std::size_t shard_idx, std::uint32_t slab) {
   PacketStore& store = shards_[shard_idx].store();
   Packet& pkt = store.at(slab);
@@ -467,13 +460,57 @@ void SimCore::resolve_phases(Slot t) {
 }
 
 void SimCore::account_quiet_span(Slot lo, Slot hi) {
-  if (hi < lo) return;
   const std::uint64_t len = hi - lo + 1;
   const std::uint64_t jams = jammer_.count_quiet_range(lo, hi, view());
   counters_.active_slots += len;
   counters_.jammed_active_slots += jams;
   counters_.slot = hi;
   for (auto* obs : observers_) obs->on_quiet_span(lo, hi, jams, counters_);
+}
+
+RunResult SimCore::run(EngineKind walk) {
+  const auto budget_spent = [this](Slot t) {
+    return (config_.max_slot != 0 && t > config_.max_slot) ||
+           (config_.max_active_slots != 0 &&
+            counters_.active_slots >= config_.max_active_slots);
+  };
+  Slot t = 0;
+  while (!budget_spent(t)) {
+    const Slot next_ev = std::min(next_arrival_slot(), next_access_slot());
+    if (next_ev == kNoSlot) break;  // nothing will ever happen again
+
+    if (counters_.backlog == 0) {
+      t = next_ev;  // inactive stretch: free skip, no slots counted
+    } else if (next_ev > t) {
+      // Quiet ACTIVE span [t, next_ev-1]: no access, no arrival, so the
+      // state is constant. The walk's one choice is how to account it.
+      Slot hi = next_ev - 1;
+      if (config_.max_slot != 0) hi = std::min(hi, config_.max_slot);
+      if (config_.max_active_slots != 0) {
+        const std::uint64_t remaining = config_.max_active_slots - counters_.active_slots;
+        if (hi - t + 1 > remaining) hi = t + remaining - 1;
+      }
+      if (walk == EngineKind::kEvent) {
+        account_quiet_span(t, hi);
+      } else {
+        for (Slot s = t; s <= hi; ++s) resolve_slot(s);
+      }
+      t = hi + 1;
+      if (t != next_ev) break;  // a budget truncated the span
+    }
+    if (budget_spent(t)) break;
+
+    // Event slot t: injections first (they may access immediately and
+    // register themselves in their shard's wheel), then pop the shards'
+    // buckets for t and resolve the union.
+    inject_arrivals_at(t);
+    resolve_slot(t);
+    ++t;
+  }
+
+  RunResult result;
+  finish(&result);
+  return result;
 }
 
 double SimCore::recompute_contention() const {

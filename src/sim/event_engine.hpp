@@ -1,40 +1,22 @@
-// Event-driven engine: exact geometric gap-skipping.
+// Event-driven engine (the default): SimCore::run with EngineKind::kEvent.
 //
-// Because every supported protocol changes state only when it accesses the
-// channel (see Protocol contract), each packet's per-slot access
-// probability is constant between accesses, so "which slot do I access
-// next?" is one geometric draw. The engine asks the SimCore for the
-// smallest scheduled access across the per-shard AccessWheels and jumps
-// over the (typically enormous) access-free stretches, accounting active
-// slots and jams for skipped spans arithmetically.
-//
-// Produces bit-identical traces to SlotEngine for the same seed on every
-// jammer family (randomized jammers replay slot-keyed coins); see
-// tests/sim_equivalence_test.cpp. Both engines pop accessors from the
-// same wheels and resolve them in the same canonical order, so the
-// equivalence is structural: they cannot disagree on WHO accesses a slot,
-// only on how they walk time between accesses. config.shards > 1
-// parallelizes the heavy event slots exactly as in the slot engine.
+// Every supported protocol changes state only when it accesses the
+// channel (see the Protocol contract), so between accesses and arrivals
+// the whole system is constant. The walk therefore accounts each such
+// quiet active span in one step (active slots, plus the jams the jammer's
+// count_quiet_range reports) and fires one on_quiet_span instead of one
+// on_slot per slot. That is the only difference from SlotEngine: both run
+// the same walk, pop the same wheels and resolve every access slot with
+// the same code. So for any jammer whose count_quiet_range counts exactly
+// the jams its per-slot jam calls would (every jammer in src/adversary
+// does; the randomized ones replay their slot-keyed coins) the two
+// engines give bit-identical results; see tests/sim_equivalence_test.cpp.
 #pragma once
 
 #include "sim/sim_core.hpp"
 
 namespace lowsense {
 
-class EventEngine {
- public:
-  EventEngine(const ProtocolFactory& factory, ArrivalProcess& arrivals, Jammer& jammer,
-              const RunConfig& config);
-
-  void add_observer(Observer* obs) { core_.add_observer(obs); }
-
-  RunResult run();
-
-  const detail::SimCore& core() const noexcept { return core_; }
-
- private:
-  RunConfig config_;
-  detail::SimCore core_;
-};
+using EventEngine = WalkEngine<EngineKind::kEvent>;
 
 }  // namespace lowsense

@@ -1,10 +1,11 @@
 // Observer hooks: how metrics, potential trackers, and tests watch a run
 // without the engines knowing anything about them.
 //
-// The slot engine emits on_slot for EVERY active slot. The event engine
-// emits on_slot only for slots containing a channel access (or arrival)
-// and summarizes the access-free stretches in between with on_quiet_span —
-// the two views carry identical cumulative information.
+// Both engines run one time walk (SimCore::run) and emit on_slot for every
+// slot holding an access or an arrival. For the quiet active spans in
+// between, the slot engine emits on_slot per slot and the event engine one
+// on_quiet_span per span — the two views carry identical cumulative
+// information.
 #pragma once
 
 #include "core/types.hpp"
@@ -36,9 +37,9 @@ class Observer {
     (void)info, (void)counters;
   }
 
-  /// A maximal run of active slots [from, to] with no channel accesses
-  /// (event engine only). `jams` of them were jammed. Counters are as of
-  /// the end of the span.
+  /// A run of active slots [from, to] with no channel access and no
+  /// arrival (event engine only). `jams` of them were jammed. Counters are
+  /// as of the end of the span.
   virtual void on_quiet_span(Slot from, Slot to, std::uint64_t jams, const Counters& counters) {
     (void)from, (void)to, (void)jams, (void)counters;
   }

@@ -1,4 +1,5 @@
-// Run configuration and result summary shared by both engines.
+// Run configuration, walk selection and result summary shared by both
+// engines.
 #pragma once
 
 #include <cstdint>
@@ -9,6 +10,13 @@
 #include "sim/types.hpp"
 
 namespace lowsense {
+
+/// How SimCore::run walks a quiet active span (active slots with no
+/// access and no arrival) — the one thing the two engines do differently.
+enum class EngineKind {
+  kEvent,  ///< account the span in one step (default)
+  kSlot,   ///< resolve every slot of the span: the model of §1.1 verbatim
+};
 
 struct RunConfig {
   /// Stop after this many ACTIVE slots (0 = unlimited). Implicit-throughput

@@ -1,9 +1,10 @@
-// Shared internals of the two simulation engines: packet storage, arrival
-// injection, contention bookkeeping, and single-slot resolution. The
-// engines differ ONLY in how they walk time (every active slot vs.
-// jumping between events); accessor lookup is the per-shard AccessWheel,
-// registered at every point a packet's next_access changes, which is what
-// makes the engines trace-equivalent by construction.
+// The simulation core behind both engines: packet storage, arrival
+// injection, contention bookkeeping, single-slot resolution, and THE time
+// walk (run). The engines are this walk under two names; they differ in
+// one line, how a quiet active span is accounted (see EngineKind and
+// run). Accessor lookup is the per-shard AccessWheel, registered at every
+// point a packet's next_access changes, so both walks resolve the same
+// accessors in the same slots by construction.
 //
 // OPEN-SYSTEM STORAGE. Packets live in per-shard PacketStores (slab/SoA
 // layout, see packet_store.hpp). Arrivals stream in from the pull-based
@@ -81,27 +82,15 @@ class SimCore {
 
   void add_observer(Observer* obs) { observers_.push_back(obs); }
 
-  // --- arrival handling -------------------------------------------------
-  /// Slot of the next pending arrival burst (kNoSlot when exhausted).
-  Slot next_arrival_slot();
-  /// Injects every pending burst with slot == t, registering each new
-  /// packet's first access in its shard's wheel.
-  void inject_arrivals_at(Slot t);
-
-  // --- slot resolution --------------------------------------------------
-  /// Resolves one ACTIVE slot: pops every shard's wheel bucket for t
-  /// (advancing the cursors) and runs the three phases above. Increments
-  /// active_slots. Engines call this with non-decreasing t.
-  void resolve_slot(Slot t);
-
-  /// Accounts a maximal access-free active span [lo, hi] (event engine).
-  void account_quiet_span(Slot lo, Slot hi);
-
-  // --- state ------------------------------------------------------------
-  std::uint64_t n_active() const noexcept { return counters_.backlog; }
-  const Counters& counters() const noexcept { return counters_; }
-  SystemView view() const noexcept;
-  bool arrivals_exhausted() const noexcept { return arrivals_done_ && !pending_; }
+  /// THE time walk: runs from slot 0 to drain or budget and returns the
+  /// summary. Stretches with no packet in the system are skipped free
+  /// (uncounted); every slot holding an arrival or an access is injected
+  /// and resolved; the quiet active spans in between are walked as `walk`
+  /// says, cut at the exact slot where max_slot or max_active_slots runs
+  /// out. The run also ends when no access and no arrival is left to come
+  /// (a drained system, or a backlog that will never access again).
+  /// Call once.
+  RunResult run(EngineKind walk);
 
   /// Visits every in-system packet as fn(store, slab): shard by shard,
   /// each store's slabs in slab order, skipping those not `active`. That
@@ -117,19 +106,10 @@ class SimCore {
     }
   }
 
-  /// Smallest slot with a scheduled access across all shards (kNoSlot
-  /// when none). The engines' next-event query.
-  Slot next_access_slot() const noexcept;
-
-  /// True iff no active packet will ever access the channel again.
-  bool no_future_access() const noexcept;
-
   /// Recomputation of contention from the protocol objects (not the
   /// cached lanes); tests compare it against the incrementally maintained
   /// value to bound floating-point drift.
   double recompute_contention() const;
-
-  void finish(RunResult* result);
 
   /// Below this many accessors in a slot the phases run inline on the
   /// calling thread (in the same canonical order, so results do not
@@ -138,6 +118,24 @@ class SimCore {
   static constexpr std::size_t kParallelMinAccessors = 128;
 
  private:
+  /// Slot of the next pending arrival burst (kNoSlot when exhausted).
+  Slot next_arrival_slot();
+  /// Injects every pending burst with slot == t, registering each new
+  /// packet's first access in its shard's wheel.
+  void inject_arrivals_at(Slot t);
+  /// Smallest slot with a scheduled access across all shards (kNoSlot
+  /// when none): with next_arrival_slot, the walk's next-event query.
+  Slot next_access_slot() const noexcept;
+  /// Resolves one ACTIVE slot: pops every shard's wheel bucket for t
+  /// (advancing the cursors) and runs the three phases above. Increments
+  /// active_slots. Called with non-decreasing t.
+  void resolve_slot(Slot t);
+  /// Accounts an access-free active span [lo, hi] in one step.
+  void account_quiet_span(Slot lo, Slot hi);
+  SystemView view() const noexcept;
+  bool arrivals_exhausted() const noexcept { return arrivals_done_ && !pending_; }
+  void finish(RunResult* result);
+
   void depart(Slot t, std::size_t shard_idx, std::uint32_t slab);
   void resolve_phases(Slot t);
   void phase_send_draws(Slot t, PacketShard& shard);
@@ -186,3 +184,27 @@ class SimCore {
 };
 
 }  // namespace lowsense::detail
+
+namespace lowsense {
+
+/// SlotEngine and EventEngine (slot_engine.hpp, event_engine.hpp): a
+/// SimCore bound to one walk, with no logic of its own.
+template <EngineKind kWalk>
+class WalkEngine {
+ public:
+  WalkEngine(const ProtocolFactory& factory, ArrivalProcess& arrivals, Jammer& jammer,
+             const RunConfig& config)
+      : core_(factory, arrivals, jammer, config) {}
+
+  void add_observer(Observer* obs) { core_.add_observer(obs); }
+
+  /// Runs to drain or budget; returns the summary.
+  RunResult run() { return core_.run(kWalk); }
+
+  const detail::SimCore& core() const noexcept { return core_; }
+
+ private:
+  detail::SimCore core_;
+};
+
+}  // namespace lowsense

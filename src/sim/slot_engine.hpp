@@ -1,35 +1,16 @@
-// Reference engine: advances one slot at a time, resolving every active
-// slot individually — transparently faithful to the model of §1.1, and the
-// only engine that consults the jammer on literally every slot. It is the
-// ground truth the event engine is tested against.
+// Reference engine: SimCore::run with EngineKind::kSlot. It resolves
+// every active slot individually, so it is the model of §1.1 verbatim and
+// the one engine that consults the jammer (jam) on literally every active
+// slot, and observers see on_slot for each of them.
 //
-// Accessor lookup is the SimCore's per-shard AccessWheels: popping slot
-// t's buckets is O(accessors in t), so a run costs O(active slots + total
-// accesses) instead of the former O(n_active x active slots) scan. With
-// config.shards > 1 the heavy buckets of a single run resolve in parallel
-// over the core's persistent shard pool — bit-identical to shards = 1
-// (see sim_core.hpp for the three-phase resolve and its invariants).
+// Stretches with no packet in the system are skipped in both engines:
+// nothing can happen there and they are not counted.
 #pragma once
 
 #include "sim/sim_core.hpp"
 
 namespace lowsense {
 
-class SlotEngine {
- public:
-  SlotEngine(const ProtocolFactory& factory, ArrivalProcess& arrivals, Jammer& jammer,
-             const RunConfig& config);
-
-  void add_observer(Observer* obs) { core_.add_observer(obs); }
-
-  /// Runs to drain or budget; returns the summary.
-  RunResult run();
-
-  const detail::SimCore& core() const noexcept { return core_; }
-
- private:
-  RunConfig config_;
-  detail::SimCore core_;
-};
+using SlotEngine = WalkEngine<EngineKind::kSlot>;
 
 }  // namespace lowsense

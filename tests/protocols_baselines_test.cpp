@@ -156,6 +156,10 @@ TEST(Registry, UnknownNamesReturnNull) {
   EXPECT_EQ(make_protocol("aloha:0"), nullptr);
   EXPECT_EQ(make_protocol("aloha:2.0"), nullptr);
   EXPECT_EQ(make_protocol(""), nullptr);
+  // p is read as the whole rest of the name.
+  for (const char* name : {"aloha:0.5x", "aloha:", "aloha: 0.5", "aloha:0.5 "}) {
+    EXPECT_EQ(make_protocol(name), nullptr) << '"' << name << '"';
+  }
 }
 
 TEST(Registry, FactoriesProduceWorkingProtocols) {

@@ -1,15 +1,14 @@
 // THE load-bearing correctness test: the slot-by-slot reference engine and
 // the event-driven engine must produce IDENTICAL executions for the same
 // seed — for EVERY jammer family, including the randomized ones. Both
-// engines pop accessors from the same AccessWheel and draw the same
-// per-packet geometric gaps from the same per-packet streams; randomized
-// jammers (random, random contention-band) draw slot-keyed CounterRng
-// coins, so their decisions replay identically whether the engine asks
-// about each slot (slot engine) or accounts whole quiet spans at once
-// (event engine). Any divergence in outcomes, departure times, or energy
-// counts indicates a semantic bug in one of them — most likely in how
-// they walk time between accesses (budget truncation, inactive skips,
-// quiet-span accounting, or budget exhaustion mid-span).
+// engines are SimCore::run and differ only in how a quiet active span is
+// accounted: one jam() call per slot, or one count_quiet_range() over
+// the span. Randomized jammers (random, random contention-band) draw
+// slot-keyed CounterRng coins, so their decisions replay identically
+// either way. Any divergence in outcomes, departure times, or energy
+// counts indicates a semantic bug — most likely a jammer whose span count
+// disagrees with its per-slot decisions (budget exhaustion mid-span
+// included), or a budget cut that lands differently in the two walks.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -69,10 +68,14 @@ void expect_identical(const EngineOutcome& a, const EngineOutcome& b, const std:
   EXPECT_EQ(a.result.max_accesses, b.result.max_accesses);
   EXPECT_EQ(a.result.peak_backlog, b.result.peak_backlog);
   EXPECT_EQ(a.result.jams_total, b.result.jams_total);
-  EXPECT_DOUBLE_EQ(a.result.max_window_seen, b.result.max_window_seen);
-  EXPECT_DOUBLE_EQ(a.result.access_stats.sum(), b.result.access_stats.sum());
-  EXPECT_DOUBLE_EQ(a.result.send_stats.sum(), b.result.send_stats.sum());
-  EXPECT_NEAR(a.result.counters.contention, b.result.counters.contention, 1e-9);
+  // Bit for bit: both engines run the one walk, with the same resolve and
+  // the same canonical accumulation order.
+  EXPECT_EQ(a.result.max_window_seen, b.result.max_window_seen);
+  EXPECT_EQ(a.result.access_stats.sum(), b.result.access_stats.sum());
+  EXPECT_EQ(a.result.access_stats.variance(), b.result.access_stats.variance());
+  EXPECT_EQ(a.result.send_stats.sum(), b.result.send_stats.sum());
+  EXPECT_EQ(a.result.latency_stats.mean(), b.result.latency_stats.mean());
+  EXPECT_EQ(a.result.counters.contention, b.result.counters.contention);
 
   ASSERT_EQ(a.trace.departures.size(), b.trace.departures.size());
   for (std::size_t i = 0; i < a.trace.departures.size(); ++i) {
