@@ -15,7 +15,7 @@
 //
 // Shape targets:
 //   * bit-identity: every (engine, n, shards) cell equals its shards=1
-//     twin in all counters and stats;
+//     twin in every first_difference field (a failure names the cell);
 //   * speedup: > 2x slots/s at 4+ shards for the largest n on the slot
 //     engine (only asserted when the host has >= 4 hardware threads; the
 //     measured ratio is recorded either way).
@@ -41,18 +41,6 @@ struct Cell {
   }
 };
 
-bool identical(const RunResult& a, const RunResult& b) {
-  return a.counters.active_slots == b.counters.active_slots &&
-         a.counters.successes == b.counters.successes &&
-         a.counters.jammed_active_slots == b.counters.jammed_active_slots &&
-         a.counters.contention == b.counters.contention &&
-         a.max_accesses == b.max_accesses && a.peak_backlog == b.peak_backlog &&
-         a.drained == b.drained && a.max_window_seen == b.max_window_seen &&
-         a.access_stats.sum() == b.access_stats.sum() &&
-         a.send_stats.sum() == b.send_stats.sum() &&
-         a.latency_stats.sum() == b.latency_stats.sum();
-}
-
 void body(BenchContext& ctx) {
   const auto lo = static_cast<unsigned>(ctx.u64("lo_exp"));
   const auto hi = static_cast<unsigned>(ctx.u64("hi_exp"));
@@ -62,7 +50,7 @@ void body(BenchContext& ctx) {
   for (unsigned s = 1; s <= max_shards; s *= 2) shard_counts.push_back(s);
 
   Table table({"engine", "N", "shards", "slots/s", "speedup", "identical"});
-  bool all_identical = true;
+  std::string mismatch;  // the first differing cell, replicate and field
   double headline_speedup = 0.0;  // max shards vs 1, slot engine, largest n
 
   for (const EngineKind engine : {EngineKind::kSlot, EngineKind::kEvent}) {
@@ -102,11 +90,11 @@ void body(BenchContext& ctx) {
 
       for (std::size_t i = 0; i < cells.size(); ++i) {
         const Cell& cell = cells[i];
-        bool match = cell.runs.runs.size() == serial.runs.runs.size();
-        for (std::size_t r = 0; match && r < cell.runs.runs.size(); ++r) {
-          match = identical(cell.runs.runs[r], serial.runs.runs[r]);
+        const std::string diff = first_difference(serial.runs, cell.runs);
+        if (!diff.empty() && mismatch.empty()) {
+          mismatch = std::string(engine_name(engine)) + "/n=" + std::to_string(n) +
+                     "/shards=" + std::to_string(shard_counts[i]) + " " + diff;
         }
-        all_identical &= match;
 
         const double speedup =
             serial.elapsed > 0.0 && cell.elapsed > 0.0 ? serial.elapsed / cell.elapsed : 0.0;
@@ -119,7 +107,7 @@ void body(BenchContext& ctx) {
         }
         table.add_row({engine_name(engine), std::to_string(n),
                        std::to_string(shard_counts[i]), Table::num(cell.slots_per_sec(), 0),
-                       i == 0 ? "1.00" : Table::num(speedup, 2), match ? "yes" : "NO"});
+                       i == 0 ? "1.00" : Table::num(speedup, 2), diff.empty() ? "yes" : "NO"});
       }
       ctx.record(std::move(speedups));
     }
@@ -128,7 +116,8 @@ void body(BenchContext& ctx) {
   ctx.table(table, "(speedup = wall time at shards=1 over wall time at shards=M, same seeds; "
                    "identical = every replicate bit-identical to the shards=1 run)");
 
-  ctx.check("sharded runs bit-identical to --shards=1 across the whole grid", all_identical);
+  ctx.check("sharded runs bit-identical to --shards=1 across the whole grid", mismatch.empty(),
+            mismatch);
 
   const unsigned hw = ParallelExecutor::default_threads();
   const unsigned top = shard_counts.back();

@@ -17,6 +17,7 @@
 
 #include "harness/suite.hpp"
 #include "harness/sweep.hpp"
+#include "protocols/fixed_probability.hpp"
 #include "protocols/registry.hpp"
 
 using namespace lowsense;
@@ -26,9 +27,10 @@ namespace {
 Scenario batch_scenario(const std::string& proto, std::uint64_t n) {
   Scenario s;
   s.name = proto + "/n=" + std::to_string(n);
-  s.protocol = [proto, n] {
+  s.protocol = [proto, n]() -> std::unique_ptr<ProtocolFactory> {
     if (proto == "aloha") {
-      return make_protocol("aloha:" + std::to_string(1.0 / static_cast<double>(n)));
+      // p = 1/N exactly; an "aloha:<p>" name rounds it (to 0 from N = 2^21).
+      return std::make_unique<FixedProbabilityFactory>(1.0 / static_cast<double>(n));
     }
     return make_protocol(proto);
   };

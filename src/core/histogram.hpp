@@ -32,6 +32,8 @@ class LogHistogram {
   std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
   double bucket_lo(std::size_t i) const;
 
+  bool operator==(const LogHistogram&) const = default;
+
  private:
   std::size_t bucket_index(double value) const;
 

@@ -23,6 +23,9 @@ class StreamingStats {
   /// Merges another accumulator into this one (parallel-friendly).
   void merge(const StreamingStats& other) noexcept;
 
+  /// Every word (n, mean, M2, min, max, sum): mean and M2 see fold order.
+  bool operator==(const StreamingStats&) const = default;
+
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;

@@ -172,6 +172,7 @@ RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
     throw std::invalid_argument("Scenario: protocol and arrivals are required");
   }
   auto factory = scenario.protocol();
+  if (!factory) throw std::invalid_argument("Scenario " + scenario.name + ": null protocol");
   auto arrivals = scenario.arrivals(seed);
   std::unique_ptr<Jammer> jammer =
       scenario.jammer ? scenario.jammer(seed) : std::make_unique<NoJammer>();
@@ -182,6 +183,15 @@ RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
   detail::SimCore core(*factory, *arrivals, *jammer, config);
   for (auto* obs : observers) core.add_observer(obs);
   return core.run(scenario.engine);
+}
+
+std::string first_difference(const Replicates& a, const Replicates& b) {
+  if (a.runs.size() != b.runs.size()) return "replicate count";
+  for (std::size_t i = 0; i < a.runs.size(); ++i) {
+    const std::string field = first_difference(a.runs[i], b.runs[i]);
+    if (!field.empty()) return "replicate " + std::to_string(i) + ": " + field;
+  }
+  return "";
 }
 
 Summary Replicates::summarize(const std::function<double(const RunResult&)>& metric) const {
@@ -214,12 +224,6 @@ Summary Replicates::peak_backlog() const {
 StreamingStats Replicates::merged_access_stats() const {
   StreamingStats s;
   for (const auto& r : runs) s.merge(r.access_stats);
-  return s;
-}
-
-StreamingStats Replicates::merged_send_stats() const {
-  StreamingStats s;
-  for (const auto& r : runs) s.merge(r.send_stats);
   return s;
 }
 

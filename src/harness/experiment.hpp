@@ -108,9 +108,12 @@ struct Replicates {
   /// run), these aggregate at packet granularity: N runs of M packets
   /// merge into one accumulator over N*M packets.
   StreamingStats merged_access_stats() const;
-  StreamingStats merged_send_stats() const;
   StreamingStats merged_latency_stats() const;
 };
+
+/// first_difference over replicate sets: "" when every run matches its
+/// twin, else "replicate <i>: <field>" (or "replicate count").
+std::string first_difference(const Replicates& a, const Replicates& b);
 
 /// Runs `reps` replicates with seeds base_seed, base_seed+1, ...
 Replicates replicate(const Scenario& scenario, int reps, std::uint64_t base_seed = 1);

@@ -87,8 +87,6 @@ class SteadyStateObserver final : public Observer {
   void on_quiet_span(Slot from, Slot to, std::uint64_t jams, const Counters& counters) override;
   void on_run_end(const Counters& counters) override;
 
-  Slot window_width() const noexcept { return window_; }
-
   /// Last absolute slot any callback reported (on_run_end pins it to the
   /// engine's final counters.slot). Defines the covered span of the
   /// trailing window in summarize().

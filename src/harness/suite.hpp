@@ -139,9 +139,6 @@ class BenchContext {
   void check(const std::string& what, bool pass, const std::string& detail = "");
   void record(ScenarioResult result);
 
-  /// True while every check so far passed.
-  bool all_checks_passed() const noexcept { return all_pass_; }
-
  private:
   Scenario apply_overrides(Scenario s) const;
 
@@ -154,7 +151,6 @@ class BenchContext {
   std::function<std::unique_ptr<Jammer>(std::uint64_t)> jammer_override_;
   std::function<std::unique_ptr<ArrivalProcess>(std::uint64_t)> arrivals_override_;
   int auto_named_ = 0;
-  bool all_pass_ = true;
 };
 
 /// Builds the BenchMeta (header + JSON identity block) for a resolved

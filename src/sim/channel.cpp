@@ -164,7 +164,6 @@ void SimCore::inject_arrivals_at(Slot t) {
       // w_u(t) = w_min at the injection slot), so the first gap is
       // anchored at t, not t+1.
       const Slot first = fresh.gap == kNoSlot ? kNoSlot : t + fresh.gap - 1;
-      store.next_access(slab) = first;
       if (first != kNoSlot) sh.wheel().schedule(slab, first);
       counters_.contention += fresh.send_prob;
       ++counters_.arrivals;
@@ -196,9 +195,7 @@ void SimCore::depart(Slot t, std::size_t shard_idx, std::uint32_t slab) {
   Packet& pkt = store.at(slab);
   assert(pkt.active);
   // No wheel entry to drop: a packet departs only in a slot it accessed,
-  // and its entry for that slot was popped before the resolve ran. Mark
-  // the access spent so nothing re-schedules it.
-  store.next_access(slab) = kNoSlot;
+  // and its entry for that slot was popped before the resolve ran.
   pkt.active = false;
   counters_.contention -= store.send_prob(slab);
   --counters_.backlog;
@@ -367,7 +364,6 @@ void SimCore::phase_feedback(Slot t, Feedback fb, PacketShard& shard) {
     out.contention_delta = step.send_prob - store.send_prob(slab);
     store.cache(slab, step);
     const Slot next = step.gap == kNoSlot ? kNoSlot : t + step.gap;
-    store.next_access(slab) = next;
     if (next != kNoSlot) shard.wheel().schedule(slab, next);
   }
 }

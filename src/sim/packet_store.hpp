@@ -35,8 +35,9 @@
 //
 // LAYOUT. The hot per-access lanes — logical id, slot-keyed coin key,
 // the cached protocol outputs (window, send probability, send probability
-// given access), next-access slot, and the access/send tallies — live in
-// separate parallel arrays (structure-of-arrays), each stored once. Phase
+// given access), and the access/send tallies — live in separate
+// parallel arrays (structure-of-arrays), each stored once (a packet's
+// next access lives only in its shard's AccessWheel). Phase
 // 1 (sort, coins, tallies) and the shard merge read only these lanes and
 // never call into the protocol object; the cold remainder (protocol
 // state, gap stream, arrival slot, generation, the `active` flag) stays
@@ -88,7 +89,6 @@ class PacketStore {
       window_.emplace_back();
       send_prob_.emplace_back();
       send_given_access_.emplace_back();
-      next_access_.emplace_back();
       accesses_.emplace_back();
       sends_.emplace_back();
     }
@@ -97,7 +97,6 @@ class PacketStore {
     window_[slab] = 0.0;
     send_prob_[slab] = 0.0;
     send_given_access_[slab] = 0.0;
-    next_access_[slab] = kNoSlot;
     accesses_[slab] = 0;
     sends_[slab] = 0;
     ++live_;
@@ -135,8 +134,6 @@ class PacketStore {
   double send_given_access(std::uint32_t slab) const noexcept {
     return send_given_access_[slab];
   }
-  Slot& next_access(std::uint32_t slab) noexcept { return next_access_[slab]; }
-  Slot next_access(std::uint32_t slab) const noexcept { return next_access_[slab]; }
   std::uint64_t& accesses(std::uint32_t slab) noexcept { return accesses_[slab]; }
   std::uint64_t accesses(std::uint32_t slab) const noexcept { return accesses_[slab]; }
   std::uint64_t& sends(std::uint32_t slab) noexcept { return sends_[slab]; }
@@ -166,7 +163,6 @@ class PacketStore {
   std::vector<double> window_;             ///< protocol window()
   std::vector<double> send_prob_;          ///< cached contribution to C(t)
   std::vector<double> send_given_access_;  ///< the phase-1 send-coin bias
-  std::vector<Slot> next_access_;          ///< absolute slot of the next access
   std::vector<std::uint64_t> accesses_;    ///< channel accesses so far
   std::vector<std::uint64_t> sends_;       ///< transmissions so far
   std::vector<std::uint32_t> free_;        ///< reclaimed slabs (LIFO)

@@ -3,6 +3,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <utility>
 
 #include "core/histogram.hpp"
 #include "core/stats.hpp"
@@ -68,5 +70,31 @@ struct RunResult {
   double implicit_throughput() const noexcept { return counters.implicit_throughput(); }
   double mean_accesses() const noexcept { return access_stats.mean(); }
 };
+
+/// The one definition of "the same run": the name of the first observable
+/// field in which `a` and `b` differ, or "" when none does. Every field is
+/// a pure function of (scenario, seed), whatever the engine, shards,
+/// threads or reclaim, and the floating-point ones (contention, windows,
+/// each StreamingStats whole: n, mean, M2, min, max, sum) follow one
+/// canonical order, so all compare exactly. Skipped: slab_capacity and
+/// slabs_recycled, which witness where packets were placed, not events.
+inline std::string first_difference(const RunResult& a, const RunResult& b) {
+  const std::pair<const char*, bool> fields[] = {
+      {"counters", a.counters == b.counters},
+      {"drained", a.drained == b.drained},
+      {"max_accesses", a.max_accesses == b.max_accesses},
+      {"peak_backlog", a.peak_backlog == b.peak_backlog},
+      {"max_window_seen", a.max_window_seen == b.max_window_seen},
+      {"jams_total", a.jams_total == b.jams_total},
+      {"access_stats", a.access_stats == b.access_stats},
+      {"send_stats", a.send_stats == b.send_stats},
+      {"latency_stats", a.latency_stats == b.latency_stats},
+      {"access_hist", a.access_hist == b.access_hist},
+  };
+  for (const auto& [name, same] : fields) {
+    if (!same) return name;
+  }
+  return "";
+}
 
 }  // namespace lowsense

@@ -3,7 +3,7 @@
 // walk (run). The engines are this walk under two names; they differ in
 // one line, how a quiet active span is accounted (see EngineKind and
 // run). Accessor lookup is the per-shard AccessWheel, registered at every
-// point a packet's next_access changes, so both walks resolve the same
+// point a packet's next access changes, so both walks resolve the same
 // accessors in the same slots by construction.
 //
 // OPEN-SYSTEM STORAGE. Packets live in per-shard PacketStores (slab/SoA

@@ -33,6 +33,8 @@ struct Counters {
   std::uint64_t backlog = 0;              ///< packets currently in the system
   double contention = 0.0;                ///< C(t) = Σ_u send_prob_u
 
+  bool operator==(const Counters&) const = default;
+
   double implicit_throughput() const noexcept {
     return active_slots == 0
                ? 1.0

@@ -11,6 +11,7 @@
 #include "harness/experiment.hpp"
 #include "harness/parallel.hpp"
 #include "protocols/registry.hpp"
+#include "run_identity.hpp"
 
 namespace lowsense {
 namespace {
@@ -21,32 +22,6 @@ Scenario batch_scenario(std::uint64_t n, const std::string& proto = "low-sensing
   s.protocol = [proto] { return make_protocol(proto); };
   s.arrivals = [n](std::uint64_t) { return std::make_unique<BatchArrivals>(n); };
   return s;
-}
-
-// Every observable metric of a run, compared exactly: the parallel path
-// must be bit-identical to the serial one, not merely close.
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.counters.slot, b.counters.slot);
-  EXPECT_EQ(a.counters.active_slots, b.counters.active_slots);
-  EXPECT_EQ(a.counters.arrivals, b.counters.arrivals);
-  EXPECT_EQ(a.counters.successes, b.counters.successes);
-  EXPECT_EQ(a.counters.jammed_active_slots, b.counters.jammed_active_slots);
-  EXPECT_EQ(a.counters.backlog, b.counters.backlog);
-  EXPECT_EQ(a.counters.contention, b.counters.contention);
-  EXPECT_EQ(a.drained, b.drained);
-  EXPECT_EQ(a.max_accesses, b.max_accesses);
-  EXPECT_EQ(a.peak_backlog, b.peak_backlog);
-  EXPECT_EQ(a.max_window_seen, b.max_window_seen);
-  EXPECT_EQ(a.jams_total, b.jams_total);
-  EXPECT_EQ(a.access_stats.count(), b.access_stats.count());
-  EXPECT_EQ(a.access_stats.mean(), b.access_stats.mean());
-  EXPECT_EQ(a.access_stats.variance(), b.access_stats.variance());
-  EXPECT_EQ(a.send_stats.count(), b.send_stats.count());
-  EXPECT_EQ(a.send_stats.sum(), b.send_stats.sum());
-  EXPECT_EQ(a.latency_stats.count(), b.latency_stats.count());
-  EXPECT_EQ(a.latency_stats.mean(), b.latency_stats.mean());
-  EXPECT_EQ(a.latency_stats.min(), b.latency_stats.min());
-  EXPECT_EQ(a.latency_stats.max(), b.latency_stats.max());
 }
 
 TEST(ParallelExecutor, RunsAllSubmittedTasks) {
@@ -94,13 +69,10 @@ TEST(ReplicateParallel, DeterministicAcrossThreadCounts) {
   const std::uint64_t seed = 42;
   const Replicates serial = replicate(s, reps, seed);
   ASSERT_EQ(serial.runs.size(), static_cast<std::size_t>(reps));
+  // Bit-identical, not merely close: every observable of every replicate.
   for (unsigned threads : {1u, 4u, 8u}) {
-    const Replicates par = replicate_parallel(s, reps, threads, seed);
-    ASSERT_EQ(par.runs.size(), serial.runs.size()) << "threads=" << threads;
-    for (std::size_t i = 0; i < serial.runs.size(); ++i) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " rep=" + std::to_string(i));
-      expect_identical(serial.runs[i], par.runs[i]);
-    }
+    expect_same_run(serial, replicate_parallel(s, reps, threads, seed),
+                    "threads=" + std::to_string(threads));
   }
 }
 

@@ -5,6 +5,7 @@
 #include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
 #include "protocols/registry.hpp"
+#include "run_identity.hpp"
 
 namespace lowsense {
 namespace {
@@ -29,6 +30,13 @@ TEST(Harness, MissingProtocolThrows) {
   EXPECT_THROW(run_scenario(s, 1), std::invalid_argument);
 }
 
+TEST(Harness, NullProtocolFactoryThrows) {
+  // make_protocol returns null for a name it rejects (here p = 0); the
+  // run must refuse the scenario instead of dereferencing it.
+  Scenario s = batch_scenario(4, "aloha:0.000000");
+  EXPECT_THROW(run_scenario(s, 1), std::invalid_argument);
+}
+
 TEST(Harness, DefaultJammerIsNone) {
   const RunResult r = run_scenario(batch_scenario(50), 4);
   EXPECT_EQ(r.counters.jammed_active_slots, 0u);
@@ -38,11 +46,10 @@ TEST(Harness, DefaultJammerIsNone) {
 TEST(Harness, SlotEngineSelectable) {
   Scenario s = batch_scenario(50);
   s.engine = EngineKind::kSlot;
-  const RunResult a = run_scenario(s, 5);
+  const RecordedRun a = record_scenario(s, 5);
   s.engine = EngineKind::kEvent;
-  const RunResult b = run_scenario(s, 5);
-  // Engines are trace-equivalent, so even metrics must agree.
-  EXPECT_EQ(a.counters.active_slots, b.counters.active_slots);
+  // Engines are trace-equivalent: the same run, bit for bit.
+  expect_same_run(a, record_scenario(s, 5), "slot-vs-event");
 }
 
 TEST(Harness, CustomJammerIsUsed) {

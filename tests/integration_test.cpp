@@ -13,6 +13,7 @@
 #include "metrics/potential.hpp"
 #include "metrics/recorder.hpp"
 #include "protocols/registry.hpp"
+#include "run_identity.hpp"
 
 namespace lowsense {
 namespace {
@@ -67,14 +68,7 @@ TEST(Integration, WholeExperimentIsReproducible) {
     };
     return replicate(s, 4, 900);
   };
-  const Replicates a = run_once();
-  const Replicates b = run_once();
-  for (std::size_t i = 0; i < a.runs.size(); ++i) {
-    EXPECT_EQ(a.runs[i].counters.active_slots, b.runs[i].counters.active_slots);
-    EXPECT_EQ(a.runs[i].counters.successes, b.runs[i].counters.successes);
-    EXPECT_EQ(a.runs[i].counters.jammed_active_slots, b.runs[i].counters.jammed_active_slots);
-    EXPECT_EQ(a.runs[i].max_accesses, b.runs[i].max_accesses);
-  }
+  expect_same_run(run_once(), run_once(), "rerun");
 }
 
 TEST(Integration, MixedProtocolComparisonPipeline) {
@@ -122,14 +116,9 @@ TEST(Integration, SlotAndEventEnginesAgreeOnComplexScenario) {
       return std::make_unique<AqtArrivals>(0.25, 64, AqtPattern::kFront, 600, Rng(55));
     };
     s.jammer = [](std::uint64_t) { return std::make_unique<BurstJammer>(113, 17); };
-    return run_scenario(s, 8);
+    return record_scenario(s, 8);
   };
-  const RunResult ev = build(EngineKind::kEvent);
-  const RunResult sl = build(EngineKind::kSlot);
-  EXPECT_EQ(ev.counters.active_slots, sl.counters.active_slots);
-  EXPECT_EQ(ev.counters.successes, sl.counters.successes);
-  EXPECT_EQ(ev.counters.jammed_active_slots, sl.counters.jammed_active_slots);
-  EXPECT_EQ(ev.max_accesses, sl.max_accesses);
+  expect_same_run(build(EngineKind::kEvent), build(EngineKind::kSlot), "event-vs-slot");
 }
 
 }  // namespace

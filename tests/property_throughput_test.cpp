@@ -12,6 +12,7 @@
 #include "adversary/jammer.hpp"
 #include "harness/experiment.hpp"
 #include "metrics/recorder.hpp"
+#include "protocols/fixed_probability.hpp"
 #include "protocols/registry.hpp"
 
 namespace lowsense {
@@ -115,7 +116,10 @@ TEST(Throughput, GenieAlohaNearOneOverE) {
   // leave, p stays 1/n so throughput degrades), overall throughput is
   // below 1/e but the FIRST slots should succeed at ~1/e rate.
   const std::uint64_t n = 1024;
-  Scenario s = batch("aloha:" + std::to_string(1.0 / static_cast<double>(n)), n);
+  Scenario s = batch("low-sensing", n);
+  s.protocol = [n] {
+    return std::make_unique<FixedProbabilityFactory>(1.0 / static_cast<double>(n));
+  };
   s.config.max_active_slots = 200;  // early window: contention still ~1
   std::uint64_t succ = 0;
   const int reps = 5;

@@ -6,8 +6,8 @@
 #include "adversary/jammer.hpp"
 #include "protocols/registry.hpp"
 #include "protocols/windowed_ethernet.hpp"
+#include "run_identity.hpp"
 #include "sim/event_engine.hpp"
-#include "sim/slot_engine.hpp"
 
 namespace lowsense {
 namespace {
@@ -61,48 +61,29 @@ TEST(WindowedEthernet, RegistryName) {
   EXPECT_NE(make_protocol("ethernet"), nullptr);
 }
 
+/// An unjammed batch of `n` packets under one engine.
+RecordedRun run_batch(EngineKind engine, std::uint64_t n, std::uint64_t seed) {
+  WindowedEthernetFactory factory;
+  BatchArrivals arrivals(n);
+  NoJammer none;
+  RunConfig cfg;
+  cfg.seed = seed;
+  cfg.max_active_slots = 1u << 22;
+  return record_run(engine, factory, arrivals, none, cfg);
+}
+
 TEST(WindowedEthernet, BatchDrainsOnBothEngines) {
-  for (const bool use_slot : {false, true}) {
-    WindowedEthernetFactory factory;
-    BatchArrivals arrivals(100);
-    NoJammer none;
-    RunConfig cfg;
-    cfg.seed = 5;
-    cfg.max_active_slots = 1u << 22;
-    RunResult r;
-    if (use_slot) {
-      SlotEngine engine(factory, arrivals, none, cfg);
-      r = engine.run();
-    } else {
-      EventEngine engine(factory, arrivals, none, cfg);
-      r = engine.run();
-    }
-    EXPECT_TRUE(r.drained) << (use_slot ? "slot" : "event");
+  for (const EngineKind engine : {EngineKind::kEvent, EngineKind::kSlot}) {
+    const RunResult r = run_batch(engine, 100, 5).result;
+    EXPECT_TRUE(r.drained) << engine_name(engine);
     EXPECT_EQ(r.counters.successes, 100u);
   }
 }
 
 TEST(WindowedEthernet, EnginesTraceEquivalent) {
   // draw_gap overrides must preserve the slot/event equivalence.
-  auto run = [](auto&& make_engine) {
-    WindowedEthernetFactory factory;
-    BatchArrivals arrivals(64);
-    NoJammer none;
-    RunConfig cfg;
-    cfg.seed = 9;
-    auto engine = make_engine(factory, arrivals, none, cfg);
-    return engine.run();
-  };
-  const RunResult a = run([](auto& f, auto& ar, auto& j, auto& c) {
-    return SlotEngine(f, ar, j, c);
-  });
-  const RunResult b = run([](auto& f, auto& ar, auto& j, auto& c) {
-    return EventEngine(f, ar, j, c);
-  });
-  EXPECT_EQ(a.counters.active_slots, b.counters.active_slots);
-  EXPECT_EQ(a.counters.successes, b.counters.successes);
-  EXPECT_EQ(a.max_accesses, b.max_accesses);
-  EXPECT_DOUBLE_EQ(a.send_stats.sum(), b.send_stats.sum());
+  expect_same_run(run_batch(EngineKind::kSlot, 64, 9), run_batch(EngineKind::kEvent, 64, 9),
+                  "windowed-ethernet");
 }
 
 TEST(WindowedEthernet, AbortedPacketsStrandTheBacklog) {

@@ -9,6 +9,7 @@
 #include "protocols/fixed_probability.hpp"
 #include "protocols/low_sensing.hpp"
 #include "protocols/mw_full_sensing.hpp"
+#include "run_identity.hpp"
 #include "sim/event_engine.hpp"
 #include "sim/slot_engine.hpp"
 
@@ -90,12 +91,13 @@ TEST(EventEngine, EverySuccessIsOneSend) {
 }
 
 TEST(EventEngine, DeterministicAcrossReruns) {
-  const RunResult a = run_batch<EventEngine>(128, 77);
-  const RunResult b = run_batch<EventEngine>(128, 77);
-  EXPECT_EQ(a.counters.active_slots, b.counters.active_slots);
-  EXPECT_EQ(a.counters.successes, b.counters.successes);
-  EXPECT_EQ(a.max_accesses, b.max_accesses);
-  EXPECT_DOUBLE_EQ(a.access_stats.mean(), b.access_stats.mean());
+  const auto run = [] {
+    LowSensingFactory factory;
+    BatchArrivals arrivals(128);
+    NoJammer none;
+    return record_run(EngineKind::kEvent, factory, arrivals, none, config_with_seed(77));
+  };
+  expect_same_run(run(), run(), "rerun");
 }
 
 TEST(EventEngine, DifferentSeedsDiffer) {

@@ -2,24 +2,23 @@
 // and the load-bearing recycling guarantee — a recycled slab carries NO
 // identity, so reclamation (config.reclaim) never moves a bit. Seeded
 // fuzz diffs open vs. closed storage across engines, shard counts, and
-// arrival processes, and a lifecycle ledger asserts a recycled slab never
-// re-emits (or aliases) the departed packet's observer callbacks.
+// arrival processes with expect_same_run (run_identity.hpp: every
+// RunResult field but the slab witnesses, plus the trace digest of every
+// arrival, departure and access slot), and a lifecycle ledger asserts a
+// recycled slab never re-emits (or aliases) the departed packet's
+// observer callbacks.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "adversary/arrivals.hpp"
-#include "adversary/jammer.hpp"
 #include "core/rng.hpp"
-#include "protocols/registry.hpp"
-#include "sim/event_engine.hpp"
+#include "run_identity.hpp"
 #include "sim/packet_store.hpp"
-#include "sim/slot_engine.hpp"
 
 namespace lowsense {
 namespace {
@@ -70,7 +69,6 @@ TEST(PacketStore, ReuseBumpsGenerationAndZeroesTheRecord) {
   store.sends(slab) = 4;
   store.coin_key(slab) = 0xdeadbeef;
   store.cache(slab, ProtocolStep{64.0, 0.25, 0.5, 0});
-  store.next_access(slab) = 1234;
   store.release(slab);
 
   // The departed record keeps its id (and generation) until re-acquired,
@@ -92,7 +90,6 @@ TEST(PacketStore, ReuseBumpsGenerationAndZeroesTheRecord) {
   EXPECT_EQ(store.window(slab), 0.0);
   EXPECT_EQ(store.send_prob(slab), 0.0);
   EXPECT_EQ(store.send_given_access(slab), 0.0);
-  EXPECT_EQ(store.next_access(slab), kNoSlot);
 }
 
 TEST(PacketStore, CoinKeysArePureInTheLogicalIdNotTheSlab) {
@@ -127,30 +124,33 @@ TEST(PacketStore, PeakLiveTracksTheHighWaterMark) {
 
 // ----------------------------------------- open vs. closed bit-identity
 
+/// Asserts each logical id arrives once and departs once, after its
+/// arrival: a recycled slab must never re-emit (or alias) its departed
+/// tenant's callbacks. The trace digest compares the streams themselves.
 struct LifecycleLedger final : Observer {
   std::map<PacketId, Slot> arrivals;
-  std::map<PacketId, std::tuple<Slot, std::uint64_t, std::uint64_t>> departures;
+  std::set<PacketId> departures;
 
   void on_arrival(Slot slot, PacketId id, const Protocol&) override {
     const bool fresh = arrivals.emplace(id, slot).second;
     EXPECT_TRUE(fresh) << "logical id " << id << " arrived twice (slab reuse leaked identity)";
   }
 
-  void on_departure(Slot slot, PacketId id, Slot arrival_slot, std::uint64_t accesses,
-                    std::uint64_t sends, double) override {
+  void on_departure(Slot slot, PacketId id, Slot arrival_slot, std::uint64_t, std::uint64_t,
+                    double) override {
     auto it = arrivals.find(id);
     ASSERT_NE(it, arrivals.end()) << "departure for id " << id << " without an arrival";
     EXPECT_EQ(arrival_slot, it->second) << "id " << id;
     EXPECT_GE(slot, arrival_slot) << "id " << id;
-    const bool fresh = departures.emplace(id, std::make_tuple(slot, accesses, sends)).second;
+    const bool fresh = departures.insert(id).second;
     EXPECT_TRUE(fresh) << "logical id " << id
                        << " departed twice (recycled slab re-emitted callbacks)";
   }
 };
 
 struct Outcome {
-  RunResult result;
   LifecycleLedger ledger;
+  RecordedRun run;
 };
 
 enum class ArrKind { kScheduleWithDrains, kPoisson, kAqt, kRefillTruncated };
@@ -176,65 +176,18 @@ std::unique_ptr<ArrivalProcess> make_arrivals(ArrKind kind, std::uint64_t seed) 
   return nullptr;
 }
 
-std::unique_ptr<Jammer> make_fuzz_jammer(int kind, std::uint64_t key) {
-  switch (kind) {
-    case 0: return std::make_unique<NoJammer>();
-    case 1: return std::make_unique<BurstJammer>(97, 13);
-    default: return std::make_unique<RandomJammer>(0.2, 600, CounterRng(key, 0xb1));
-  }
-}
+/// The store fuzz's jammer families, indexed by its `jam` draw.
+constexpr JamKind kStoreJams[] = {JamKind::kNone, JamKind::kBurst, JamKind::kRandom};
 
-Outcome run_once(bool slot_engine, const std::string& proto, ArrKind arr_kind, int jam_kind,
+Outcome run_once(EngineKind engine, const std::string& proto, ArrKind arr_kind, int jam_kind,
                  const RunConfig& cfg) {
   auto factory = make_protocol(proto);
   EXPECT_NE(factory, nullptr) << proto;
   auto arrivals = make_arrivals(arr_kind, cfg.seed);
-  auto jammer = make_fuzz_jammer(jam_kind, cfg.seed);
+  auto jammer = make_jammer(kStoreJams[jam_kind], cfg.seed);
   Outcome out;
-  if (slot_engine) {
-    SlotEngine engine(*factory, *arrivals, *jammer, cfg);
-    engine.add_observer(&out.ledger);
-    out.result = engine.run();
-  } else {
-    EventEngine engine(*factory, *arrivals, *jammer, cfg);
-    engine.add_observer(&out.ledger);
-    out.result = engine.run();
-  }
+  out.run = record_run(engine, *factory, *arrivals, *jammer, cfg, {&out.ledger});
   return out;
-}
-
-/// Bit for bit, not just the order-free sum: the running mean and M2 depend
-/// on the fold order, so this pins departures in slot order and then the
-/// survivors in ascending id (finish()), whatever their slab placement.
-void expect_same_stats(const StreamingStats& a, const StreamingStats& b, const char* what) {
-  EXPECT_EQ(a.count(), b.count()) << what;
-  EXPECT_EQ(a.sum(), b.sum()) << what;
-  EXPECT_EQ(a.mean(), b.mean()) << what;
-  EXPECT_EQ(a.variance(), b.variance()) << what;
-}
-
-/// Reclamation must not move a single bit — same engine, same shards, so
-/// even the floating-point contention matches exactly. Allocator-side
-/// numbers (slab_capacity, slabs_recycled) are NOT compared: they are
-/// the memory model itself, asserted separately.
-void expect_identical(const Outcome& a, const Outcome& b, const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(a.result.counters.slot, b.result.counters.slot);
-  EXPECT_EQ(a.result.counters.active_slots, b.result.counters.active_slots);
-  EXPECT_EQ(a.result.counters.successes, b.result.counters.successes);
-  EXPECT_EQ(a.result.counters.arrivals, b.result.counters.arrivals);
-  EXPECT_EQ(a.result.counters.jammed_active_slots, b.result.counters.jammed_active_slots);
-  EXPECT_EQ(a.result.counters.backlog, b.result.counters.backlog);
-  EXPECT_EQ(a.result.counters.contention, b.result.counters.contention);  // exact FP
-  EXPECT_EQ(a.result.drained, b.result.drained);
-  EXPECT_EQ(a.result.max_accesses, b.result.max_accesses);
-  EXPECT_EQ(a.result.peak_backlog, b.result.peak_backlog);
-  EXPECT_EQ(a.result.max_window_seen, b.result.max_window_seen);
-  expect_same_stats(a.result.access_stats, b.result.access_stats, "access_stats");
-  expect_same_stats(a.result.send_stats, b.result.send_stats, "send_stats");
-  expect_same_stats(a.result.latency_stats, b.result.latency_stats, "latency_stats");
-  EXPECT_EQ(a.ledger.arrivals, b.ledger.arrivals);
-  EXPECT_EQ(a.ledger.departures, b.ledger.departures);
 }
 
 TEST(PacketStoreIdentityFuzz, OpenVsClosedBitIdenticalAcrossEnginesAndShards) {
@@ -247,7 +200,7 @@ TEST(PacketStoreIdentityFuzz, OpenVsClosedBitIdenticalAcrossEnginesAndShards) {
 
   std::uint64_t total_recycled = 0;
   for (int iter = 0; iter < 18; ++iter) {
-    const bool slot_engine = iter % 2 == 0;  // both engines, alternating
+    const EngineKind engine = iter % 2 == 0 ? EngineKind::kSlot : EngineKind::kEvent;
     const std::string proto = kProtocols[uniform(0, std::size(kProtocols) - 1)];
     const ArrKind arr = kArrivals[iter % std::size(kArrivals)];
     const int jam = static_cast<int>(uniform(0, 2));
@@ -258,36 +211,36 @@ TEST(PacketStoreIdentityFuzz, OpenVsClosedBitIdenticalAcrossEnginesAndShards) {
 
     const std::string label = "fuzz#" + std::to_string(iter) + "/" + proto + "/arr" +
                               std::to_string(static_cast<int>(arr)) + "/jam" +
-                              std::to_string(jam) + (slot_engine ? "/slot" : "/event");
+                              std::to_string(jam) + "/" + engine_name(engine);
 
     // Reference: closed storage (no reuse), serial.
     RunConfig closed1 = cfg;
     closed1.shards = 1;
     closed1.reclaim = false;
-    const Outcome ref = run_once(slot_engine, proto, arr, jam, closed1);
-    EXPECT_EQ(ref.result.slabs_recycled, 0u) << label;
-    EXPECT_EQ(ref.result.slab_capacity, ref.result.counters.arrivals) << label;
+    const Outcome ref = run_once(engine, proto, arr, jam, closed1);
+    EXPECT_EQ(ref.run.result.slabs_recycled, 0u) << label;
+    EXPECT_EQ(ref.run.result.slab_capacity, ref.run.result.counters.arrivals) << label;
 
     for (unsigned shards : {1u, 4u}) {
       RunConfig open = cfg;
       open.shards = shards;
       open.reclaim = true;
-      const Outcome got = run_once(slot_engine, proto, arr, jam, open);
-      expect_identical(ref, got, label + "/open-shards" + std::to_string(shards));
+      const Outcome got = run_once(engine, proto, arr, jam, open);
+      expect_same_run(ref.run, got.run, label + "/open-shards" + std::to_string(shards));
       // The memory model: slabs ever allocated never exceed what the
       // closed layout needs, and recycling accounts for the difference.
-      EXPECT_LE(got.result.slab_capacity, ref.result.slab_capacity)
+      EXPECT_LE(got.run.result.slab_capacity, ref.run.result.slab_capacity)
           << label << " shards " << shards;
-      EXPECT_EQ(got.result.slabs_recycled,
-                got.result.counters.arrivals - got.result.slab_capacity)
+      EXPECT_EQ(got.run.result.slabs_recycled,
+                got.run.result.counters.arrivals - got.run.result.slab_capacity)
           << label << " shards " << shards;
-      total_recycled += got.result.slabs_recycled;
+      total_recycled += got.run.result.slabs_recycled;
 
       RunConfig closed = cfg;
       closed.shards = shards;
       closed.reclaim = false;
-      expect_identical(ref, run_once(slot_engine, proto, arr, jam, closed),
-                       label + "/closed-shards" + std::to_string(shards));
+      expect_same_run(ref.run, run_once(engine, proto, arr, jam, closed).run,
+                      label + "/closed-shards" + std::to_string(shards));
     }
   }
   // The sweep must actually exercise reuse, not vacuously pass on runs
@@ -301,28 +254,28 @@ TEST(PacketStoreIdentityFuzz, OpenVsClosedBitIdenticalAcrossEnginesAndShards) {
 // of it still live. finish() must fold those survivors in ascending id,
 // not in slab order, which recycling and sharding both scramble.
 TEST(PacketStoreIdentity, TruncatedRunFoldsSurvivorsInIdOrderAtAnyPlacement) {
-  for (const bool slot_engine : {false, true}) {
+  for (const EngineKind engine : {EngineKind::kEvent, EngineKind::kSlot}) {
     RunConfig cfg;
     cfg.seed = 77;
     cfg.max_slot = 80000 + 300;
     RunConfig closed1 = cfg;
     closed1.shards = 1;
     closed1.reclaim = false;
-    const Outcome ref = run_once(slot_engine, "low-sensing", ArrKind::kRefillTruncated, 0, closed1);
-    ASSERT_GT(ref.result.counters.backlog, 100u) << ref.result.counters.slot;
+    const Outcome ref = run_once(engine, "low-sensing", ArrKind::kRefillTruncated, 0, closed1);
+    ASSERT_GT(ref.run.result.counters.backlog, 100u) << ref.run.result.counters.slot;
     for (const unsigned shards : {1u, 4u}) {
       for (const bool reclaim : {false, true}) {
         RunConfig got_cfg = cfg;
         got_cfg.shards = shards;
         got_cfg.reclaim = reclaim;
         const Outcome got =
-            run_once(slot_engine, "low-sensing", ArrKind::kRefillTruncated, 0, got_cfg);
-        const std::string label = std::string(slot_engine ? "slot" : "event") + "/shards" +
+            run_once(engine, "low-sensing", ArrKind::kRefillTruncated, 0, got_cfg);
+        const std::string label = std::string(engine_name(engine)) + "/shards" +
                                   std::to_string(shards) + (reclaim ? "/open" : "/closed");
         if (reclaim) {
-          EXPECT_GT(got.result.slabs_recycled, 0u) << label;
+          EXPECT_GT(got.run.result.slabs_recycled, 0u) << label;
         }
-        expect_identical(ref, got, label);
+        expect_same_run(ref.run, got.run, label);
       }
     }
   }
@@ -332,25 +285,25 @@ TEST(PacketStoreRecycling, RecycledSlabsNeverReplayDepartedPacketsCallbacks) {
   // Drain-and-refill arrivals force heavy slab reuse; the ledger (with
   // its fire-exactly-once assertions) proves no recycled slab ever
   // aliases the observer stream of its previous tenant.
-  for (const bool slot_engine : {true, false}) {
+  for (const EngineKind engine : {EngineKind::kSlot, EngineKind::kEvent}) {
     for (const unsigned shards : {1u, 4u}) {
       RunConfig cfg;
       cfg.seed = 7;
       cfg.shards = shards;
       cfg.reclaim = true;
       const Outcome out =
-          run_once(slot_engine, "low-sensing", ArrKind::kScheduleWithDrains, 0, cfg);
-      const std::string label = std::string(slot_engine ? "slot" : "event") + "/shards" +
+          run_once(engine, "low-sensing", ArrKind::kScheduleWithDrains, 0, cfg);
+      const std::string label = std::string(engine_name(engine)) + "/shards" +
                                 std::to_string(shards);
-      EXPECT_TRUE(out.result.drained) << label;
-      EXPECT_EQ(out.result.counters.arrivals, 48u) << label;
+      EXPECT_TRUE(out.run.result.drained) << label;
+      EXPECT_EQ(out.run.result.counters.arrivals, 48u) << label;
       EXPECT_EQ(out.ledger.arrivals.size(), 48u) << label;
       EXPECT_EQ(out.ledger.departures.size(), 48u) << label;
       // The run really recycled: resident slabs track the 12-packet
       // bursts, not the 48-packet total.
-      EXPECT_GT(out.result.slabs_recycled, 0u) << label;
-      EXPECT_LT(out.result.slab_capacity, 48u) << label;
-      EXPECT_GE(out.result.slab_capacity, out.result.peak_backlog) << label;
+      EXPECT_GT(out.run.result.slabs_recycled, 0u) << label;
+      EXPECT_LT(out.run.result.slab_capacity, 48u) << label;
+      EXPECT_GE(out.run.result.slab_capacity, out.run.result.peak_backlog) << label;
     }
   }
 }

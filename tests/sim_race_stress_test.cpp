@@ -4,7 +4,9 @@
 // slots straddling the kParallelMinAccessors inline/parallel boundary,
 // the pool-reusing replicate_parallel fan-out, and streaming arrivals
 // with slab reclamation on. Every lane also asserts the determinism
-// contract on whatever it computes, so the suite is a (small) functional
+// contract on whatever it computes (expect_same_run, run_identity.hpp:
+// every RunResult field, plus the trace digest where the lane records
+// one), so the suite is a (small) functional
 // test in unsanitized builds and a race detector under
 // `cmake --preset tsan && ctest --preset tsan`.
 //
@@ -27,8 +29,7 @@
 #include "harness/experiment.hpp"
 #include "harness/parallel.hpp"
 #include "protocols/registry.hpp"
-#include "sim/event_engine.hpp"
-#include "sim/slot_engine.hpp"
+#include "run_identity.hpp"
 
 namespace lowsense {
 namespace {
@@ -132,17 +133,8 @@ TEST(ExecutorRace, WaitSubmitWaitCyclesOnSpinningPool) {
 
 // ----------------------------------------- three-phase resolve stress
 
-struct EngineOutcome {
-  std::uint64_t successes = 0;
-  std::uint64_t active_slots = 0;
-  double contention = 0.0;
-  double access_sum = 0.0;
-  double latency_sum = 0.0;
-};
-
-template <typename Engine>
-EngineOutcome run_batch(const std::string& proto, std::uint64_t n, unsigned shards,
-                        std::uint64_t seed, std::uint64_t budget, bool jammed) {
+RecordedRun run_batch(EngineKind engine, const std::string& proto, std::uint64_t n,
+                      unsigned shards, std::uint64_t seed, std::uint64_t budget, bool jammed) {
   auto factory = make_protocol(proto);
   BatchArrivals arrivals(n);
   std::unique_ptr<Jammer> jammer;
@@ -155,19 +147,7 @@ EngineOutcome run_batch(const std::string& proto, std::uint64_t n, unsigned shar
   cfg.seed = seed;
   cfg.max_active_slots = budget;
   cfg.shards = shards;
-  Engine engine(*factory, arrivals, *jammer, cfg);
-  const RunResult r = engine.run();
-  return {r.counters.successes, r.counters.active_slots, r.counters.contention,
-          r.access_stats.sum(), r.latency_stats.sum()};
-}
-
-void expect_same(const EngineOutcome& a, const EngineOutcome& b, const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(a.successes, b.successes);
-  EXPECT_EQ(a.active_slots, b.active_slots);
-  EXPECT_EQ(a.contention, b.contention);  // exact FP: same engine, same merge order
-  EXPECT_EQ(a.access_sum, b.access_sum);
-  EXPECT_EQ(a.latency_sum, b.latency_sum);
+  return record_run(engine, *factory, arrivals, *jammer, cfg);
 }
 
 // High shard count, heavy first slots: a 1024-packet batch puts every
@@ -177,13 +157,13 @@ void expect_same(const EngineOutcome& a, const EngineOutcome& b, const std::stri
 // boundary; the shards=1 diff pins the trace.
 TEST(RaceStress, ThreePhaseResolveAtHighShardCounts) {
   for (const bool jam : {false, true}) {
-    const EngineOutcome serial =
-        run_batch<SlotEngine>("low-sensing", 1024, 1, 17, 15000, jam);
+    const RecordedRun serial =
+        run_batch(EngineKind::kSlot, "low-sensing", 1024, 1, 17, 15000, jam);
     for (unsigned shards : {4u, 8u}) {
-      const EngineOutcome sharded =
-          run_batch<SlotEngine>("low-sensing", 1024, shards, 17, 15000, jam);
-      expect_same(serial, sharded,
-                  "slot/jam=" + std::to_string(jam) + "/shards=" + std::to_string(shards));
+      const RecordedRun sharded =
+          run_batch(EngineKind::kSlot, "low-sensing", 1024, shards, 17, 15000, jam);
+      expect_same_run(serial, sharded,
+                      "slot/jam=" + std::to_string(jam) + "/shards=" + std::to_string(shards));
     }
   }
 }
@@ -191,12 +171,12 @@ TEST(RaceStress, ThreePhaseResolveAtHighShardCounts) {
 // Same stress through the event engine, whose wheel-pop drives the
 // resolve from a different walk of time.
 TEST(RaceStress, EventEngineResolveAtHighShardCounts) {
-  const EngineOutcome serial =
-      run_batch<EventEngine>("binary-exponential", 1024, 1, 29, 15000, true);
+  const RecordedRun serial =
+      run_batch(EngineKind::kEvent, "binary-exponential", 1024, 1, 29, 15000, true);
   for (unsigned shards : {4u, 8u}) {
-    const EngineOutcome sharded =
-        run_batch<EventEngine>("binary-exponential", 1024, shards, 29, 15000, true);
-    expect_same(serial, sharded, "event/shards=" + std::to_string(shards));
+    const RecordedRun sharded =
+        run_batch(EngineKind::kEvent, "binary-exponential", 1024, shards, 29, 15000, true);
+    expect_same_run(serial, sharded, "event/shards=" + std::to_string(shards));
   }
 }
 
@@ -204,9 +184,9 @@ TEST(RaceStress, EventEngineResolveAtHighShardCounts) {
 // kParallelMinAccessors, the first slots fork and the rest run inline,
 // so the handoff between the two paths happens many times per run.
 TEST(RaceStress, SlotsStraddleTheParallelMinAccessorsBoundary) {
-  const EngineOutcome serial = run_batch<SlotEngine>("low-sensing", 160, 1, 5, 30000, false);
-  const EngineOutcome sharded = run_batch<SlotEngine>("low-sensing", 160, 4, 5, 30000, false);
-  expect_same(serial, sharded, "boundary/shards=4");
+  const RecordedRun serial = run_batch(EngineKind::kSlot, "low-sensing", 160, 1, 5, 30000, false);
+  const RecordedRun sharded = run_batch(EngineKind::kSlot, "low-sensing", 160, 4, 5, 30000, false);
+  expect_same_run(serial, sharded, "boundary/shards=4");
 }
 
 // ------------------------------------- replicate_parallel pool reuse
@@ -226,13 +206,8 @@ TEST(RaceStress, PoolReusingReplicateParallelMatchesSerial) {
   // Two rounds on the SAME pool: the suite runner keeps one pool alive
   // across a bench's whole sweep, so reuse is the production pattern.
   for (int round = 0; round < 2; ++round) {
-    const Replicates parallel = replicate_parallel(scenario, 8, &pool, 1);
-    ASSERT_EQ(serial.runs.size(), parallel.runs.size());
-    for (std::size_t i = 0; i < serial.runs.size(); ++i) {
-      EXPECT_EQ(serial.runs[i].counters.successes, parallel.runs[i].counters.successes);
-      EXPECT_EQ(serial.runs[i].counters.active_slots, parallel.runs[i].counters.active_slots);
-      EXPECT_EQ(serial.runs[i].counters.contention, parallel.runs[i].counters.contention);
-    }
+    expect_same_run(serial, replicate_parallel(scenario, 8, &pool, 1),
+                    "round " + std::to_string(round));
   }
 }
 
@@ -263,12 +238,7 @@ TEST(RaceStress, NestedShardPoolsInsideReplicateWorkers) {
   scenario.config.shards = 4;
 
   const Replicates serial = replicate(scenario, 4, 1);
-  const Replicates nested = replicate_parallel(scenario, 4, 4u, 1);
-  ASSERT_EQ(serial.runs.size(), nested.runs.size());
-  for (std::size_t i = 0; i < serial.runs.size(); ++i) {
-    EXPECT_EQ(serial.runs[i].counters.successes, nested.runs[i].counters.successes);
-    EXPECT_EQ(serial.runs[i].counters.contention, nested.runs[i].counters.contention);
-  }
+  expect_same_run(serial, replicate_parallel(scenario, 4, 4u, 1), "nested");
 }
 
 // ------------------------------- streaming arrivals with reclaim on
@@ -286,18 +256,13 @@ TEST(RaceStress, StreamingArrivalsWithReclaimOnShardedEngines) {
     cfg.max_slot = 30000;  // the budget, not the stream, ends the run
     cfg.shards = shards;
     cfg.reclaim = true;
-    EventEngine engine(*factory, arrivals, jammer, cfg);
-    return engine.run();
+    return record_run(EngineKind::kEvent, *factory, arrivals, jammer, cfg);
   };
-  const RunResult serial = run_streaming(1);
-  const RunResult sharded = run_streaming(4);
-  EXPECT_GT(serial.slabs_recycled, 0u);
-  EXPECT_EQ(serial.counters.arrivals, sharded.counters.arrivals);
-  EXPECT_EQ(serial.counters.successes, sharded.counters.successes);
-  EXPECT_EQ(serial.counters.contention, sharded.counters.contention);
-  EXPECT_EQ(serial.peak_backlog, sharded.peak_backlog);
-  // slab_capacity is NOT compared: it is a placement witness (sum of
-  // per-shard free-list peaks), deliberately outside the observable set.
+  const RecordedRun serial = run_streaming(1);
+  EXPECT_GT(serial.result.slabs_recycled, 0u);
+  // slab_capacity and slabs_recycled are placement witnesses (sums of
+  // per-shard free-list peaks), outside what first_difference compares.
+  expect_same_run(serial, run_streaming(4), "streaming/shards=4");
 }
 
 }  // namespace

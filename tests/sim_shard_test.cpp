@@ -5,21 +5,19 @@
 // every engine, protocol family, jammer family, and budget-truncation
 // edge. Sharding may only change wall time, never a single counter,
 // departure, or floating-point accumulation (the serial shard-merge pins
-// the FP order; see sim_core.hpp).
+// the FP order; see sim_core.hpp). "Bit-identical" is expect_same_run
+// (run_identity.hpp): first_difference finds no differing RunResult
+// field and the trace digests agree.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <random>
-#include <span>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "adversary/arrivals.hpp"
-#include "adversary/jammer.hpp"
 #include "protocols/fixed_probability.hpp"
-#include "protocols/registry.hpp"
+#include "run_identity.hpp"
 #include "sim/event_engine.hpp"
 #include "sim/packet_shard.hpp"
 #include "sim/slot_engine.hpp"
@@ -111,102 +109,22 @@ TEST(PacketShard, ShardedWheelsMatchGlobalReferenceMap) {
 
 // ------------------------------------------- sharded-vs-serial identity
 
-struct DepartureTrace final : Observer {
-  std::vector<std::tuple<Slot, PacketId, std::uint64_t, std::uint64_t>> departures;
-
-  void on_departure(Slot slot, PacketId id, Slot, std::uint64_t accesses, std::uint64_t sends,
-                    double) override {
-    departures.emplace_back(slot, id, accesses, sends);
-  }
-};
-
-struct EngineOutcome {
-  RunResult result;
-  DepartureTrace trace;
-};
-
-template <typename Engine>
-EngineOutcome run_engine(const ProtocolFactory& factory, ArrivalProcess& arrivals, Jammer& jammer,
-                         const RunConfig& cfg) {
-  EngineOutcome out;
-  Engine engine(factory, arrivals, jammer, cfg);
-  engine.add_observer(&out.trace);
-  out.result = engine.run();
-  return out;
-}
-
-/// Sharding must not move a single bit: unlike the slot-vs-event
-/// comparison (which allows 1e-9 contention slack for the engines'
-/// different accumulation points), shards=S runs the SAME engine, so even
-/// the floating-point contention must match exactly.
-void expect_identical(const EngineOutcome& a, const EngineOutcome& b, const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(a.result.counters.slot, b.result.counters.slot);
-  EXPECT_EQ(a.result.counters.active_slots, b.result.counters.active_slots);
-  EXPECT_EQ(a.result.counters.successes, b.result.counters.successes);
-  EXPECT_EQ(a.result.counters.arrivals, b.result.counters.arrivals);
-  EXPECT_EQ(a.result.counters.jammed_active_slots, b.result.counters.jammed_active_slots);
-  EXPECT_EQ(a.result.counters.backlog, b.result.counters.backlog);
-  EXPECT_EQ(a.result.counters.contention, b.result.counters.contention);  // exact FP
-  EXPECT_EQ(a.result.drained, b.result.drained);
-  EXPECT_EQ(a.result.max_accesses, b.result.max_accesses);
-  EXPECT_EQ(a.result.peak_backlog, b.result.peak_backlog);
-  EXPECT_EQ(a.result.jams_total, b.result.jams_total);
-  EXPECT_EQ(a.result.max_window_seen, b.result.max_window_seen);
-  EXPECT_EQ(a.result.access_stats.sum(), b.result.access_stats.sum());
-  EXPECT_EQ(a.result.access_stats.max(), b.result.access_stats.max());
-  EXPECT_EQ(a.result.send_stats.sum(), b.result.send_stats.sum());
-  EXPECT_EQ(a.result.latency_stats.sum(), b.result.latency_stats.sum());
-
-  ASSERT_EQ(a.trace.departures.size(), b.trace.departures.size());
-  for (std::size_t i = 0; i < a.trace.departures.size(); ++i) {
-    EXPECT_EQ(a.trace.departures[i], b.trace.departures[i]) << "departure " << i;
-  }
-}
-
-enum class JamKind { kNone, kSchedule, kBurst, kReactiveBlanket, kRandom, kRandomBand };
-
-std::unique_ptr<Jammer> make_jammer(JamKind kind, std::uint64_t key) {
-  switch (kind) {
-    case JamKind::kNone:
-      return std::make_unique<NoJammer>();
-    case JamKind::kSchedule: {
-      std::vector<Slot> slots;
-      for (Slot t = 3; t < 4000; t += 17) slots.push_back(t);
-      return std::make_unique<ScheduleJammer>(slots);
-    }
-    case JamKind::kBurst:
-      return std::make_unique<BurstJammer>(97, 13);
-    case JamKind::kReactiveBlanket:
-      return std::make_unique<ReactiveBlanketJammer>(40);
-    case JamKind::kRandom:
-      return std::make_unique<RandomJammer>(0.25, 600, CounterRng(key, 0xb1));
-    case JamKind::kRandomBand:
-      return std::make_unique<RandomContentionJammer>(0.5, 2.5, 0.5, 500, CounterRng(key, 0xb2),
-                                                      0.3);
-  }
-  return nullptr;
-}
-
-template <typename Engine>
-void expect_shard_counts_identical(const std::string& proto, JamKind jam, const RunConfig& base,
-                                   std::uint64_t n_batch, const std::string& label) {
+/// A batch run at shards = 2, 4 and 8 is the same run as at shards = 1.
+void expect_shard_counts_identical(EngineKind engine, const std::string& proto, JamKind jam,
+                                   const RunConfig& base, std::uint64_t n_batch,
+                                   const std::string& label) {
   auto factory = make_protocol(proto);
   ASSERT_NE(factory, nullptr) << proto;
-
-  BatchArrivals arr1(n_batch);
-  auto jam1 = make_jammer(jam, base.seed);
-  RunConfig cfg1 = base;
-  cfg1.shards = 1;
-  const EngineOutcome serial = run_engine<Engine>(*factory, arr1, *jam1, cfg1);
-
+  const auto run = [&](unsigned shards) {
+    BatchArrivals arrivals(n_batch);
+    auto jammer = make_jammer(jam, base.seed);
+    RunConfig cfg = base;
+    cfg.shards = shards;
+    return record_run(engine, *factory, arrivals, *jammer, cfg);
+  };
+  const RecordedRun serial = run(1);
   for (unsigned shards : {2u, 4u, 8u}) {
-    BatchArrivals arrS(n_batch);
-    auto jamS = make_jammer(jam, base.seed);
-    RunConfig cfgS = base;
-    cfgS.shards = shards;
-    const EngineOutcome sharded = run_engine<Engine>(*factory, arrS, *jamS, cfgS);
-    expect_identical(serial, sharded, label + "/shards" + std::to_string(shards));
+    expect_same_run(serial, run(shards), label + "/shards" + std::to_string(shards));
   }
 }
 
@@ -219,8 +137,8 @@ TEST(ShardIdentity, GridAcrossEnginesProtocolsAndJammers) {
                         JamKind::kRandom, JamKind::kRandomBand}) {
       const std::string label =
           std::string(proto) + "/jam" + std::to_string(static_cast<int>(jam));
-      expect_shard_counts_identical<SlotEngine>(proto, jam, cfg, 96, "slot/" + label);
-      expect_shard_counts_identical<EventEngine>(proto, jam, cfg, 96, "event/" + label);
+      expect_shard_counts_identical(EngineKind::kSlot, proto, jam, cfg, 96, "slot/" + label);
+      expect_shard_counts_identical(EngineKind::kEvent, proto, jam, cfg, 96, "event/" + label);
     }
   }
 }
@@ -232,70 +150,29 @@ TEST(ShardIdentity, HeavyBucketsCrossTheParallelThreshold) {
   RunConfig cfg;
   cfg.seed = 3;
   cfg.max_active_slots = 40000;
-  expect_shard_counts_identical<SlotEngine>("low-sensing", JamKind::kNone, cfg, 2048,
-                                            "slot/heavy");
-  expect_shard_counts_identical<EventEngine>("low-sensing", JamKind::kRandom, cfg, 2048,
-                                             "event/heavy");
+  expect_shard_counts_identical(EngineKind::kSlot, "low-sensing", JamKind::kNone, cfg, 2048,
+                                "slot/heavy");
+  expect_shard_counts_identical(EngineKind::kEvent, "low-sensing", JamKind::kRandom, cfg, 2048,
+                                "event/heavy");
 }
 
 // Seeded fuzz over the budget-truncation edges (max_slot mid-run,
-// max_active_slots mid-span, arrivals past the budget), mirroring the
-// engine-equivalence fuzz but diffing shard counts instead of engines.
+// max_active_slots mid-span, arrivals past the budget): the engine fuzz's
+// generated cases (draw_fuzz_case), diffing shard counts instead of
+// engines.
 TEST(ShardIdentityFuzz, RandomizedScenariosMatchAcrossShardCounts) {
   std::mt19937_64 gen(20260729);
-  auto uniform = [&gen](std::uint64_t lo, std::uint64_t hi) {
-    return std::uniform_int_distribution<std::uint64_t>(lo, hi)(gen);
-  };
-  const char* kProtocols[] = {"low-sensing", "binary-exponential", "polynomial",
-                              "mw-full-sensing", "windowed-ethernet"};
-  const JamKind kJams[] = {JamKind::kNone,   JamKind::kSchedule, JamKind::kBurst,
-                           JamKind::kReactiveBlanket, JamKind::kRandom, JamKind::kRandomBand};
-
   for (int iter = 0; iter < 32; ++iter) {
-    const std::string proto = kProtocols[uniform(0, std::size(kProtocols) - 1)];
-    const JamKind jam = kJams[uniform(0, std::size(kJams) - 1)];
-
-    std::vector<ArrivalBurst> bursts;
-    Slot t = uniform(0, 1) ? 0 : uniform(1, 30);
-    const int n_bursts = static_cast<int>(uniform(1, 4));
-    for (int b = 0; b < n_bursts; ++b) {
-      bursts.push_back({t, uniform(1, 25)});
-      t += uniform(0, 1) ? uniform(1, 50) : uniform(1000, 500000);
-    }
-
-    RunConfig cfg;
-    cfg.seed = uniform(1, 1u << 30);
-    if (uniform(0, 3) == 0) {
-      cfg.max_active_slots = 0;
-      cfg.max_slot = uniform(1, 20000);
-    } else {
-      cfg.max_active_slots = uniform(1, 4000);
-      cfg.max_slot = uniform(0, 1) ? 0 : uniform(1, bursts.back().slot + 50);
-    }
-
-    auto factory = make_protocol(proto);
-    ASSERT_NE(factory, nullptr) << proto;
-    const unsigned shards = 1u << uniform(1, 3);  // 2, 4, or 8
-    const bool slot_engine = uniform(0, 1) != 0;
-
-    ScheduleArrivals arr1(bursts), arrS(bursts);
-    auto jam1 = make_jammer(jam, cfg.seed);
-    auto jamS = make_jammer(jam, cfg.seed);
-
-    RunConfig cfg1 = cfg, cfgS = cfg;
-    cfg1.shards = 1;
-    cfgS.shards = shards;
-
-    const EngineOutcome serial =
-        slot_engine ? run_engine<SlotEngine>(*factory, arr1, *jam1, cfg1)
-                    : run_engine<EventEngine>(*factory, arr1, *jam1, cfg1);
-    const EngineOutcome sharded =
-        slot_engine ? run_engine<SlotEngine>(*factory, arrS, *jamS, cfgS)
-                    : run_engine<EventEngine>(*factory, arrS, *jamS, cfgS);
-    expect_identical(serial, sharded,
-                     "fuzz#" + std::to_string(iter) + "/" + proto + "/jam" +
-                         std::to_string(static_cast<int>(jam)) + "/shards" +
-                         std::to_string(shards) + (slot_engine ? "/slot" : "/event"));
+    const FuzzCase c = draw_fuzz_case(gen, kAllJamKinds);
+    const unsigned shards = 2u << std::uniform_int_distribution<unsigned>(0, 2)(gen);  // 2, 4, 8
+    const EngineKind engine =
+        std::uniform_int_distribution<int>(0, 1)(gen) ? EngineKind::kSlot : EngineKind::kEvent;
+    RunConfig sharded = c.cfg;
+    sharded.shards = shards;
+    expect_same_run(c.run(engine, c.cfg), c.run(engine, sharded),
+                    "fuzz#" + std::to_string(iter) + "/" + c.label + "/shards" +
+                        std::to_string(shards) +
+                        (engine == EngineKind::kSlot ? "/slot" : "/event"));
   }
 }
 
@@ -316,9 +193,9 @@ TEST(ShardIdentity, ShardedEventEngineEqualsSerialSlotEngine) {
   RunConfig event_cfg = cfg;
   event_cfg.shards = 4;
 
-  const EngineOutcome a = run_engine<SlotEngine>(*factory, arrA, *jamA, slot_cfg);
-  const EngineOutcome b = run_engine<EventEngine>(*factory, arrB, *jamB, event_cfg);
-  expect_identical(a, b, "slot1-vs-event4");
+  const RecordedRun a = record_run(EngineKind::kSlot, *factory, arrA, *jamA, slot_cfg);
+  const RecordedRun b = record_run(EngineKind::kEvent, *factory, arrB, *jamB, event_cfg);
+  expect_same_run(a, b, "slot1-vs-event4");
 }
 
 // A protocol that never accesses again (the silent-backlog regression)
@@ -345,11 +222,12 @@ TEST(ShardIdentity, PermanentlySilentBacklogTerminatesSharded) {
 /// that accesses slot t sends iff CounterRng(seed, 2^32 + id).bernoulli(
 /// t, p), where p is its send_given_access lane as of its previous
 /// access (or injection). The observer snapshots each live packet's lanes
-/// after every slot and checks the next slot's send tallies against that
-/// coin, for accessors and non-accessors alike.
+/// after every slot; a packet whose accesses lane moved by one accessed
+/// the slot, and the slot's send tallies are checked against that coin,
+/// for accessors and non-accessors alike.
 struct SendCoinReplay final : Observer {
   struct Snap {
-    Slot next = kNoSlot;
+    std::uint64_t accesses = 0;
     double p = 0.0;
     std::uint64_t sends = 0;
   };
@@ -370,7 +248,7 @@ struct SendCoinReplay final : Observer {
     return s;
   }
   static Snap snapshot(const detail::PacketStore& store, std::uint32_t slab) {
-    return {store.next_access(slab), store.send_given_access(slab), store.sends(slab)};
+    return {store.accesses(slab), store.send_given_access(slab), store.sends(slab)};
   }
   void on_arrival(Slot, PacketId id, const Protocol&) override {
     bool found = false;
@@ -381,11 +259,13 @@ struct SendCoinReplay final : Observer {
     });
     ASSERT_TRUE(found) << "injected packet " << id << " is not live";
   }
-  void on_departure(Slot t, PacketId id, Slot, std::uint64_t, std::uint64_t sends,
+  void on_departure(Slot t, PacketId id, Slot, std::uint64_t accesses, std::uint64_t sends,
                     double) override {
     const Snap snap = snaps.at(id);
     // The winner accessed slot t and sent: its coin must have come up.
-    if (snap.next != t || !coin(id, t, snap.p) || sends != snap.sends + 1) ++mismatches;
+    if (accesses != snap.accesses + 1 || !coin(id, t, snap.p) || sends != snap.sends + 1) {
+      ++mismatches;
+    }
     ++slot_senders;
     snaps.erase(id);
   }
@@ -396,10 +276,13 @@ struct SendCoinReplay final : Observer {
       const PacketId id = store.id(slab);
       Snap& snap = snaps.at(id);
       const Snap now = snapshot(store, slab);
-      bool want = false;
-      if (snap.next == info.slot) want = coin(id, info.slot, snap.p);
+      const bool accessed = now.accesses == snap.accesses + 1;
+      const bool want = accessed && coin(id, info.slot, snap.p);
       slot_senders += want ? 1 : 0;
-      if (now.sends != snap.sends + (want ? 1 : 0)) ++mismatches;
+      if ((!accessed && now.accesses != snap.accesses) ||
+          now.sends != snap.sends + (want ? 1 : 0)) {
+        ++mismatches;
+      }
       snap = now;
     });
     if (live != snaps.size() || slot_senders != info.senders) ++mismatches;
