@@ -29,12 +29,15 @@ void BM_RngU64(benchmark::State& state) {
 }
 BENCHMARK(BM_RngU64);
 
-void BM_GeometricGap(benchmark::State& state) {
+void BM_GeometricGap(benchmark::State& state, double p) {
   Rng rng(2);
-  const double p = 1.0 / static_cast<double>(state.range(0));
   for (auto _ : state) benchmark::DoNotOptimize(rng.geometric_gap(p));
 }
-BENCHMARK(BM_GeometricGap)->Arg(16)->Arg(1 << 20);
+// Series named by 1/p, plus the floor regime: an LSB packet at w_min
+// listens with p ~ 2/3, where the threshold stage decides most gaps.
+BENCHMARK_CAPTURE(BM_GeometricGap, 16, 1.0 / 16);
+BENCHMARK_CAPTURE(BM_GeometricGap, 1048576, 1.0 / (1 << 20));
+BENCHMARK_CAPTURE(BM_GeometricGap, floor_2_3, 2.0 / 3.0);
 
 void BM_LsbObservation(benchmark::State& state) {
   LowSensingBackoff lsb;
@@ -47,11 +50,13 @@ void BM_LsbObservation(benchmark::State& state) {
 }
 BENCHMARK(BM_LsbObservation);
 
-void BM_LsbStepBatch(benchmark::State& state) {
-  // Phase 3's protocol work for one heavy slot of range(0) LSB packets:
+void BM_LsbStepBatch(benchmark::State& state, bool floor_regime) {
+  // Phase 3's protocol work for one slot of range(0) LSB packets:
   // range(1) = 0 steps them one object at a time (Protocol::step), 1
   // through the factory's loop-split step_batch. Feedback is mixed per
-  // packet from a fixed 1024-entry pattern, so windows random-walk.
+  // packet from a fixed 1024-entry pattern, so windows random-walk; in
+  // the floor regime it is 70% silence, 15% success, 15% noise, so
+  // windows stay at or near w_min, as under a steady jammed stream.
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool batched = state.range(1) != 0;
   LowSensingFactory factory;
@@ -64,7 +69,14 @@ void BM_LsbStepBatch(benchmark::State& state) {
   }
   std::vector<Observation> pattern(1024);
   Rng fb(9);
-  for (Observation& o : pattern) o = {static_cast<Feedback>(fb.next_below(3)), false};
+  for (Observation& o : pattern) {
+    const std::uint64_t roll = fb.next_below(floor_regime ? 100 : 3);
+    const Feedback f = !floor_regime ? static_cast<Feedback>(roll)
+                       : roll < 70   ? Feedback::kEmpty
+                       : roll < 85   ? Feedback::kSuccess
+                                     : Feedback::kNoisy;
+    o = {f, false};
+  }
   std::size_t next = 0;
   for (auto _ : state) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -82,7 +94,9 @@ void BM_LsbStepBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
   state.SetLabel(batched ? "step_batch" : "per-object step");
 }
+void BM_LsbStepBatch(benchmark::State& state) { BM_LsbStepBatch(state, false); }
 BENCHMARK(BM_LsbStepBatch)->Args({96, 0})->Args({96, 1});
+BENCHMARK_CAPTURE(BM_LsbStepBatch, floor, true)->Args({1, 1});
 
 void BM_EventEngineBatch(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));

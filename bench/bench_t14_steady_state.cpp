@@ -6,7 +6,9 @@
 // the closed-population layout (reclaim off) — every first_difference
 // field — across both engines and shard counts, because every observable
 // quantity is keyed on logical packet ids, never on slab placement (see
-// packet_store.hpp); a failure names the cell, replicate and field.
+// packet_store.hpp); a failure names the cell, replicate and field. One
+// cell is cut off by its budget with a live backlog, so the survivors'
+// end-of-run fold is compared too. Both checks fail the smoke lanes.
 //
 // Second, the capability the refactor buys: an UNBOUNDED Poisson stream
 // (max_packets = 0) run for a fixed slot horizon. The windowed
@@ -35,6 +37,7 @@ struct Cell {
   const char* label;
   const char* arrivals;  // parse_arrivals_spec syntax, "%n" = packet budget
   const char* jammer;    // parse_jammer_spec syntax
+  bool cut;              // budget of 2 active slots per packet, not 400: ends live
 };
 
 std::string subst_n(const char* pattern, std::uint64_t n) {
@@ -55,15 +58,23 @@ void body(BenchContext& ctx) {
   // ---------------------------------------------- open vs closed identity
   ctx.section("open vs closed population (finite scenarios)");
 
+  // The first three drain, so every packet folds its stats at departure.
+  // "budget-cut" arrives faster than it drains and is cut off by its
+  // budget with a live backlog after departures have recycled slabs: its
+  // survivors reach SimCore::finish() in slab order, which reclaim
+  // permutes, so the comparison covers finish()'s ascending-id fold.
   const Cell kGrid[] = {
-      {"batch", "batch:%n", "none"},
-      {"poisson", "poisson:0.05,%n", "random:0.3"},
-      {"aqt-random", "aqt:0.3,64,random,%n", "burst:97,13"},
+      {"batch", "batch:%n", "none", false},
+      {"poisson", "poisson:0.05,%n", "random:0.3", false},
+      {"aqt-random", "aqt:0.3,64,random,%n", "burst:97,13", false},
+      {"budget-cut", "poisson:0.5,%n", "none", true},
   };
 
   Table table({"cell", "engine", "shards", "active slots", "successes", "open slabs",
                "closed slabs", "recycled", "match"});
   std::string mismatch;  // the first differing cell, replicate and field
+  bool cut_live = true;   // every budget-cut replicate ends with survivors and recycling
+  std::string cut_state;  // the budget-cut cell's end state
 
   for (const Cell& cell : kGrid) {
     const auto arr_factory = parse_arrivals_spec(subst_n(cell.arrivals, n));
@@ -78,7 +89,7 @@ void body(BenchContext& ctx) {
         s.engine_locked = true;
         s.config.shards = shards;
         s.shards_locked = true;
-        s.config.max_active_slots = 400ULL * n;
+        s.config.max_active_slots = (cell.cut ? 2 : 400) * n;
 
         Replicates legs[2];  // [0] = open (reclaim), [1] = closed
         for (const bool closed : {false, true}) {
@@ -113,6 +124,17 @@ void body(BenchContext& ctx) {
 
         const RunResult& a0 = open.runs.front();
         const RunResult& b0 = closed.runs.front();
+        if (cell.cut) {
+          for (const RunResult& r : open.runs) {
+            cut_live = cut_live && !r.drained && r.counters.backlog >= 2 && r.slabs_recycled > 0;
+          }
+          // Slab counts vary with the shard count: the detail is the first
+          // leg's (slot engine, 1 shard), so the stdout is shard-stable.
+          if (cut_state.empty()) {
+            cut_state = "backlog " + std::to_string(a0.counters.backlog) + ", " +
+                        std::to_string(a0.slabs_recycled) + " slabs recycled";
+          }
+        }
         table.add_row({cell.label, engine_name(engine), std::to_string(shards),
                        std::to_string(a0.counters.active_slots),
                        std::to_string(a0.counters.successes),
@@ -126,6 +148,8 @@ void body(BenchContext& ctx) {
                    "arrival)");
   ctx.check("open-system path bit-identical to closed population across engines and shards",
             mismatch.empty(), mismatch);
+  ctx.check("budget-cut cell ends with a live backlog after recycling slabs",
+            cut_live, cut_state);
 
   // ------------------------------------------------ unbounded steady state
   ctx.section("steady state (unbounded Poisson stream)");

@@ -34,7 +34,9 @@ PoissonArrivals::PoissonArrivals(double rate, std::uint64_t max_packets, Rng rng
       unbounded_(max_packets == 0),
       remaining_(max_packets),
       rng_(rng) {
-  if (!(rate > 0.0)) throw std::invalid_argument("PoissonArrivals: rate must be positive");
+  if (!(rate > 0.0 && std::isfinite(rate))) {
+    throw std::invalid_argument("PoissonArrivals: rate must be positive and finite");
+  }
 }
 
 std::optional<ArrivalBurst> PoissonArrivals::next() {

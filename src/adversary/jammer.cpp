@@ -32,7 +32,7 @@ std::uint64_t ScheduleJammer::count_quiet_range(Slot lo, Slot hi, const SystemVi
 
 RandomJammer::RandomJammer(double rate, std::uint64_t budget, CounterRng rng)
     : rate_(rate), budget_(budget), rng_(rng) {
-  if (rate < 0.0 || rate > 1.0) throw std::invalid_argument("RandomJammer: rate in [0,1]");
+  if (!(rate >= 0.0 && rate <= 1.0)) throw std::invalid_argument("RandomJammer: rate in [0,1]");
 }
 
 std::uint64_t RandomJammer::remaining_budget() const noexcept {
@@ -93,7 +93,7 @@ std::uint64_t BurstJammer::count_quiet_range(Slot lo, Slot hi, const SystemView&
 
 ContentionBandJammer::ContentionBandJammer(double lo, double hi, std::uint64_t budget)
     : lo_(lo), hi_(hi), budget_(budget) {
-  if (!(lo >= 0.0) || hi < lo) throw std::invalid_argument("ContentionBandJammer: bad band");
+  if (!(lo >= 0.0) || !(hi >= lo)) throw std::invalid_argument("ContentionBandJammer: bad band");
 }
 
 bool ContentionBandJammer::jam(Slot, const SystemView& view, std::span<const PacketId>) {
@@ -118,8 +118,8 @@ std::uint64_t ContentionBandJammer::count_quiet_range(Slot lo, Slot hi, const Sy
 RandomContentionJammer::RandomContentionJammer(double lo, double hi, double rate,
                                                std::uint64_t budget, CounterRng rng, double jitter)
     : lo_(lo), hi_(hi), rate_(rate), jitter_(jitter), budget_(budget), rng_(rng) {
-  if (!(lo >= 0.0) || hi < lo) throw std::invalid_argument("RandomContentionJammer: bad band");
-  if (rate < 0.0 || rate > 1.0)
+  if (!(lo >= 0.0) || !(hi >= lo)) throw std::invalid_argument("RandomContentionJammer: bad band");
+  if (!(rate >= 0.0 && rate <= 1.0))
     throw std::invalid_argument("RandomContentionJammer: rate in [0,1]");
   if (!(jitter >= 0.0)) throw std::invalid_argument("RandomContentionJammer: jitter >= 0");
 }

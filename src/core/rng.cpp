@@ -21,14 +21,19 @@ std::uint64_t Rng::next_below(std::uint64_t n) noexcept {
 }
 
 std::uint64_t Rng::geometric_gap(double p) noexcept {
-  // Same early outs as below, so the degenerate p skip the log.
+  // The stages of geometric_gap(p, log1m_p), with the log1p taken only
+  // when the threshold stage leaves the draw undecided.
   if (const std::uint64_t g = geometric_gap_without_draw(p)) return g;
-  return geometric_gap(p, std::log1p(-p));
+  const double u = next_double_pos();
+  if (const std::uint64_t g = geometric_gap_by_threshold(p, u)) return g;
+  return geometric_gap_from_log(std::log(u), std::log1p(-p));
 }
 
 std::uint64_t Rng::geometric_gap(double p, double log1m_p) noexcept {
   if (const std::uint64_t g = geometric_gap_without_draw(p)) return g;
-  return geometric_gap_from_log(std::log(next_double_pos()), log1m_p);
+  const double u = next_double_pos();
+  if (const std::uint64_t g = geometric_gap_by_threshold(p, u)) return g;
+  return geometric_gap_from_log(std::log(u), log1m_p);
 }
 
 std::uint64_t Rng::poisson(double mean) noexcept {
@@ -56,6 +61,7 @@ std::uint64_t Rng::poisson(double mean, double exp_neg_mean) noexcept {
   const double u2 = next_double();
   const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
   const double x = mean + std::sqrt(mean) * z + 0.5;
+  if (x >= 0x1.0p64) return std::numeric_limits<std::uint64_t>::max();  // the cast would be UB
   return x <= 0.0 ? 0 : static_cast<std::uint64_t>(x);
 }
 
@@ -67,7 +73,7 @@ std::uint64_t CounterRng::draw_below(std::uint64_t counter, std::uint64_t n,
 }
 
 std::uint64_t CounterRng::bernoulli_threshold(double p) noexcept {
-  if (p <= 0.0) return 0;
+  if (!(p > 0.0)) return 0;  // NaN too: bernoulli's `draw < p` never holds
   if (p >= 1.0) return 1ULL << 53;  // every draw >> 11 is below 2^53
   // p * 2^53 is an exact power-of-two scaling; ceil() makes the integer
   // compare equivalent to the real one for both integral and fractional

@@ -91,20 +91,31 @@ class Rng {
   /// This is the single primitive both simulation engines share: a packet
   /// whose per-slot access probability is constant between accesses draws
   /// its next access offset with one call.
+  ///
+  /// A draw runs up to three stages, and consumes exactly one uniform
+  /// U = next_double_pos() unless the first stage decides:
+  ///
+  ///   g = geometric_gap_without_draw(p);             // p >= 1, p <= 0
+  ///   if (g == 0) { u = next_double_pos();
+  ///     g = geometric_gap_by_threshold(p, u);        // p in [1/2, 1), short gaps
+  ///     if (g == 0) g = geometric_gap_from_log(std::log(u), std::log1p(-p)); }
+  ///
+  /// The gap is a pure function of (p, U): the middle stage decides only
+  /// where its answer equals the last stage's, so every gap is the log
+  /// formula's bit for bit and the stream advances identically.
   std::uint64_t geometric_gap(double p) noexcept;
 
   /// The same draw with ln(1 - p) supplied by the caller, who must pass
   /// exactly std::log1p(-p): a protocol whose p changes only on feedback
   /// caches the log instead of recomputing it for every gap. Bit-identical
-  /// to geometric_gap(p) under that precondition.
+  /// to geometric_gap(p) under that precondition. The one-argument form
+  /// takes the log only on a draw the threshold stage leaves undecided,
+  /// so for p >= 1/2 it is the cheaper of the two.
   std::uint64_t geometric_gap(double p, double log1m_p) noexcept;
 
-  // The two ends of geometric_gap(p, log1m_p), for batched callers that
-  // run its stages as separate passes over many packets — with each
-  // packet's own stream, bit-identical to one call per packet:
-  //
-  //   g = geometric_gap_without_draw(p);  // 0 = a draw is needed
-  //   if (g == 0) g = geometric_gap_from_log(std::log(next_double_pos()), log1m_p);
+  // The three stages are public for batched callers that run them as
+  // separate passes over many packets — with each packet's own stream,
+  // bit-identical to one call per packet.
 
   /// The gap when p needs no uniform — 1 for p >= 1, never (kNoSlot) for
   /// p <= 0 — and 0 otherwise, NaN included.
@@ -112,6 +123,48 @@ class Rng {
     if (p >= 1.0) return 1;
     if (p <= 0.0) return std::numeric_limits<std::uint64_t>::max();
     return 0;
+  }
+
+  /// Relative half-width of the band around each threshold (1-p)^n inside
+  /// which geometric_gap_by_threshold declines to decide.
+  static constexpr double kGapGuard = 0x1.0p-30;
+
+  /// The gap for p in [1/2, 1) and a uniform u in (0, 1], without a log:
+  /// exactly geometric_gap_from_log(std::log(u), std::log1p(-p)) when it
+  /// returns nonzero. It returns 0 ("undecided") when p is outside
+  /// [1/2, 1) (NaN included), when the gap exceeds 4, and when u lies in a
+  /// band [tn (1 - kGapGuard), tn (1 + kGapGuard)] around a threshold
+  /// tn = (1-p)^n, n = 1..4; otherwise the gap is 1 + #{n : u <= tn (1 + kGapGuard)}.
+  ///
+  /// Why this is the log formula's answer. In real arithmetic the gap is
+  /// ceil(r) with r = ln u / ln q, q = 1 - p, and r > n <=> u < q^n. The
+  /// formula computes r(1 + d) with |d| <= e_log + e_log1p + 2^-53 (the two
+  /// libm relative errors and the division's rounding); the thresholds are
+  /// products of exact q (Sterbenz: 1 - p is exact for p in [1/2, 1)) with
+  /// at most 4 roundings, far inside the guard. Outside every band, r is
+  /// at least ln(1 + kGapGuard) / |ln q| >= 2^-31 / (53 ln 2) from each
+  /// integer n <= 4 (q >= 2^-53 since p < 1), and a decided r is below 4,
+  /// so the rounded r lands on the same side of every integer as long as
+  /// 4 |d| < 2^-31 / 36.8, i.e. |d| < 2^-38.2. That holds whenever libm's
+  /// log and log1p are within 2^-40 relative error; glibc's are within
+  /// 2 ulp = 2^-51.
+  ///
+  /// With u uniform, at most q^4 <= 1/16 of the draws (plus ~2^-29 inside
+  /// the bands) fall through to the log formula.
+  static std::uint64_t geometric_gap_by_threshold(double p, double u) noexcept {
+    if (!(p >= 0.5 && p < 1.0)) return 0;
+    constexpr double kHi = 1.0 + kGapGuard;
+    constexpr double kLo = 1.0 - kGapGuard;
+    const double t1 = 1.0 - p;
+    const double t2 = t1 * t1;
+    const double t3 = t2 * t1;
+    const double t4 = t3 * t1;
+    // Branch-free: `below` counts thresholds u is surely under, `upto`
+    // those it may be under; they differ exactly when u is in a band.
+    const int upto = (u <= t1 * kHi) + (u <= t2 * kHi) + (u <= t3 * kHi) + (u <= t4 * kHi);
+    const int below = (u < t1 * kLo) + (u < t2 * kLo) + (u < t3 * kLo) + (u < t4 * kLo);
+    if (upto != below || upto == 4) return 0;
+    return static_cast<std::uint64_t>(1 + upto);
   }
 
   /// The gap for a uniform U in (0, 1] given as log_u = ln U.
@@ -122,7 +175,8 @@ class Rng {
     return g < 1.0 ? 1 : static_cast<std::uint64_t>(g);
   }
 
-  /// Poisson sample (Knuth for small mean, normal approximation for large).
+  /// Poisson sample (Knuth for small mean, normal approximation for large;
+  /// a sample at or above 2^64 saturates to UINT64_MAX).
   std::uint64_t poisson(double mean) noexcept;
 
   /// The same draw with e^-mean supplied by the caller, who must pass
@@ -224,8 +278,8 @@ class CounterRng {
   /// The integer threshold T with `draw_double(c,l) < p  <=>  draw(c,l)
   /// >> 11 < T`. Exact: x * 2^-53 and p * 2^53 are both power-of-two
   /// scalings, so the real-number comparison carries over to integers
-  /// with T = ceil(p * 2^53). p <= 0 yields 0 (never), p >= 1 yields
-  /// 2^53 (always, since draws >> 11 < 2^53).
+  /// with T = ceil(p * 2^53). p <= 0 and NaN yield 0 (never, as in
+  /// bernoulli), p >= 1 yields 2^53 (always, since draws >> 11 < 2^53).
   static std::uint64_t bernoulli_threshold(double p) noexcept;
 
   /// Number of successes among the Bernoulli(p) coins at counters

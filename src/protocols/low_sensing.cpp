@@ -27,7 +27,7 @@ double LowSensingBackoff::ln_boost() const noexcept {
 
 void LowSensingBackoff::refresh_probs() noexcept {
   refresh_from_ln_w(std::log(w_));
-  log1m_listen_ = std::log1p(-listen_prob_);
+  refresh_log1m();
 }
 
 void LowSensingBackoff::refresh_from_ln_w(double ln_w) noexcept {
@@ -50,6 +50,10 @@ bool LowSensingBackoff::update_window(const Observation& obs) noexcept {
   } else {
     back_on = obs.feedback == Feedback::kEmpty;  // silence; noise backs off
   }
+  // A back-on at the floor stays there: factor >= 1 puts w / factor at or
+  // below w_min, the floor restores w_min, and w_min >= 2 survives the
+  // collapse guard — the same result without the division.
+  if (back_on && params_.backon_floor && w_ == params_.w_min && w_ >= 2.0) return false;
   const double factor = 1.0 + 1.0 / (params_.c * std::max(ln_w_, 1.0));
   const double w_before = w_;
   if (back_on) {
@@ -84,11 +88,9 @@ void LowSensingBackoff::step_chunk(std::span<StepItem> items) {
   }
   for (std::size_t j = 0; j < m; ++j) x[j] = std::log(as_derived(items[at[j]]).w_);
   for (std::size_t j = 0; j < m; ++j) as_derived(items[at[j]]).refresh_from_ln_w(x[j]);
-  for (std::size_t j = 0; j < m; ++j) {
-    LowSensingBackoff& d = as_derived(items[at[j]]);
-    d.log1m_listen_ = std::log1p(-d.listen_prob_);
-  }
-  // The state reads, and a uniform from each packet that needs one.
+  for (std::size_t j = 0; j < m; ++j) as_derived(items[at[j]]).refresh_log1m();
+  // The state reads, and a uniform from each packet that needs one; the
+  // threshold stage decides most gaps here, the rest keep their uniform.
   m = 0;
   for (std::size_t i = 0; i < items.size(); ++i) {
     StepItem& it = items[i];
@@ -98,14 +100,18 @@ void LowSensingBackoff::step_chunk(std::span<StepItem> items) {
     it.out.send_prob = d.listen_prob_ * d.send_given_listen_;
     it.out.gap = Rng::geometric_gap_without_draw(d.listen_prob_);
     if (it.out.gap == 0) {
-      x[m] = it.rng->next_double_pos();
-      at[m++] = static_cast<std::uint8_t>(i);
+      const double u = it.rng->next_double_pos();
+      it.out.gap = Rng::geometric_gap_by_threshold(d.listen_prob_, u);
+      if (it.out.gap == 0) {
+        x[m] = u;
+        at[m++] = static_cast<std::uint8_t>(i);
+      }
     }
   }
   for (std::size_t j = 0; j < m; ++j) x[j] = std::log(x[j]);
   for (std::size_t j = 0; j < m; ++j) {
     StepItem& it = items[at[j]];
-    it.out.gap = Rng::geometric_gap_from_log(x[j], as_derived(it).log1m_listen_);
+    it.out.gap = Rng::geometric_gap_from_log(x[j], as_derived(it).log1m_listen());
   }
 }
 

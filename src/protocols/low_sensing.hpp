@@ -14,6 +14,8 @@
 // (exponent 3 is the paper's choice).
 #pragma once
 
+#include <cmath>
+
 #include "protocols/protocol.hpp"
 
 namespace lowsense {
@@ -55,16 +57,19 @@ class LowSensingBackoff final : public BuiltinProtocol<LowSensingBackoff> {
   void on_observation(const Observation& obs) override;
   double window() const noexcept override { return w_; }
   const char* name() const noexcept override { return "low-sensing"; }
-  /// The geometric gap of access_prob(), with ln(1 - p) cached.
+  /// The geometric gap of access_prob(), with ln(1 - p) cached where the
+  /// draw needs it (see log1m_listen_).
   std::uint64_t draw_gap(Rng& rng) const override {
-    return rng.geometric_gap(listen_prob_, log1m_listen_);
+    return listen_prob_ < 0.5 ? rng.geometric_gap(listen_prob_, log1m_listen_)
+                              : rng.geometric_gap(listen_prob_);
   }
 
   const LowSensingParams& params() const noexcept { return params_; }
 
   /// BuiltinProtocol::step_chunk with refresh_probs() and the gap split
   /// further: ln w, ln(1 - listen_prob) and the gap's ln U each run as
-  /// their own pass over the chunk (at most kStepChunk items).
+  /// their own pass over the chunk (at most kStepChunk items), and only
+  /// for the items whose gap the threshold stage leaves undecided.
   static void step_chunk(std::span<StepItem> items);
 
  private:
@@ -74,13 +79,25 @@ class LowSensingBackoff final : public BuiltinProtocol<LowSensingBackoff> {
   void refresh_probs() noexcept;
   /// refresh_probs() given ln_w = std::log(w_), except log1m_listen_.
   void refresh_from_ln_w(double ln_w) noexcept;
+  /// Refills log1m_listen_ where it is valid (listen_prob_ < 1/2).
+  void refresh_log1m() noexcept {
+    if (listen_prob_ < 0.5) log1m_listen_ = std::log1p(-listen_prob_);
+  }
+  /// std::log1p(-listen_prob_), from the cache where it is valid.
+  double log1m_listen() const noexcept {
+    return listen_prob_ < 0.5 ? log1m_listen_ : std::log1p(-listen_prob_);
+  }
   double ln_boost() const noexcept;  ///< ln^e(w), floored at 1
 
   LowSensingParams params_;
   double w_;
   double ln_w_ = 0.0;  ///< std::log(w_)
   double listen_prob_ = 0.0;
-  double log1m_listen_ = 0.0;  ///< std::log1p(-listen_prob_)
+  /// std::log1p(-listen_prob_), valid only while listen_prob_ < 1/2 (and
+  /// stale otherwise). At or above 1/2 — the windows near w_min — the
+  /// threshold stage decides all but a few percent of gaps, so the log is
+  /// taken per undecided draw instead of per window change.
+  double log1m_listen_ = 0.0;
   double send_given_listen_ = 0.0;
 };
 

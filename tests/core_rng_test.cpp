@@ -170,30 +170,159 @@ TEST(GeometricGap, TinyProbabilityDoesNotOverflow) {
   }
 }
 
+// The inverse-transform formula alone, which every gap must equal: one
+// uniform per draw for p in (0, 1).
+std::uint64_t log_formula_gap(Rng& rng, double p) {
+  if (p >= 1.0) return 1;
+  if (p <= 0.0) return kNoSlot;
+  const double g = std::ceil(std::log(rng.next_double_pos()) / std::log1p(-p));
+  if (g >= 9.0e18) return kNoSlot;
+  return g < 1.0 ? 1 : static_cast<std::uint64_t>(g);
+}
+
+std::uint64_t log_formula_gap(double p, double u) {
+  return Rng::geometric_gap_from_log(std::log(u), std::log1p(-p));
+}
+
 TEST(GeometricGap, CachedLogOverloadIsBitIdentical) {
-  // geometric_gap(p, log1p(-p)) is the one-argument draw with the log
-  // hoisted out; same seed, same draws, same gaps — including the edge
-  // probabilities that short-circuit before the log.
-  const double ps[] = {0.0,
-                       std::numeric_limits<double>::denorm_min(),
-                       1e-12,
-                       0.5,
-                       1.0 - std::numeric_limits<double>::epsilon(),
-                       1.0};
+  // Both forms, threshold stage included, against the log formula alone
+  // for p across [0, 1]: same seed, same gaps, same draws consumed —
+  // including the edge probabilities that short-circuit before a draw.
+  std::vector<double> ps{std::numeric_limits<double>::denorm_min(), 1e-12,
+                         0.49999999999999994, 2.0 / 3.0,
+                         1.0 - std::numeric_limits<double>::epsilon(), 1.0 - 0x1.0p-53};
+  for (int k = 0; k <= 64; ++k) ps.push_back(k / 64.0);
+  Rng meta(0x9a9);
+  for (int i = 0; i < 64; ++i) ps.push_back(meta.next_double());
   for (const double p : ps) {
-    Rng a(31);
-    Rng b(31);
-    for (int i = 0; i < 1000; ++i) {
-      ASSERT_EQ(a.geometric_gap(p, std::log1p(-p)), b.geometric_gap(p)) << "p=" << p;
+    Rng one_arg(31);
+    Rng cached(31);
+    Rng reference(31);
+    for (int i = 0; i < 2000; ++i) {
+      const std::uint64_t want = log_formula_gap(reference, p);
+      ASSERT_EQ(one_arg.geometric_gap(p), want) << std::hexfloat << "p=" << p << " i=" << i;
+      ASSERT_EQ(cached.geometric_gap(p, std::log1p(-p)), want)
+          << std::hexfloat << "p=" << p << " i=" << i;
     }
-    EXPECT_EQ(a.next_u64(), b.next_u64()) << "p=" << p;  // same draws consumed
+    const std::uint64_t next = reference.next_u64();
+    EXPECT_EQ(one_arg.next_u64(), next) << "p=" << p;
+    EXPECT_EQ(cached.next_u64(), next) << "p=" << p;
   }
+}
+
+/// The thresholds (1-p)^n, n = 1..4, multiplied as the primitive does.
+std::vector<double> gap_thresholds(double p) {
+  std::vector<double> t{1.0 - p};
+  for (int n = 2; n <= 4; ++n) t.push_back(t.back() * t.front());
+  return t;
+}
+
+/// p in [1/2, 1): uniform in the interval, and q = 1 - p log-uniform down
+/// to 2^-53 so tiny q (thresholds far below the uniform's grid) are drawn.
+double draw_high_p(Rng& meta) {
+  if (meta.bernoulli(0.5)) return 0.5 + 0.5 * meta.next_double();
+  const double q = std::ldexp(1.0 + meta.next_double(), -2 - static_cast<int>(meta.next_below(52)));
+  return 1.0 - q;
+}
+
+TEST(GeometricGapThreshold, DecidedGapsEqualTheLogFormulaOnRandomPairs) {
+  Rng meta(0x7e5701d);
+  std::uint64_t decided = 0;
+  constexpr int kPairs = 1'000'000;
+  for (int i = 0; i < kPairs; ++i) {
+    const double p = i % 2 == 0 ? 0.5 + 0.5 * meta.next_double() : draw_high_p(meta);
+    const double u = meta.next_double_pos();
+    const std::uint64_t g = Rng::geometric_gap_by_threshold(p, u);
+    if (g == 0) continue;
+    ++decided;
+    ASSERT_EQ(g, log_formula_gap(p, u)) << std::hexfloat << "p=" << p << " u=" << u;
+  }
+  // Undecided: u <= (1-p)^4 (gap > 4) and the guard bands; at most a few percent here.
+  EXPECT_GT(decided, kPairs * 95ULL / 100);
+}
+
+TEST(GeometricGapThreshold, UndecidedInsideEveryGuardBandAndDecidedJustOutside) {
+  Rng meta(0xba4d);
+  std::vector<double> ps{0.5, 0.75, 2.0 / 3.0, std::nextafter(1.0, 0.0), std::nextafter(0.5, 1.0)};
+  for (int k = 1; k <= 53; ++k) ps.push_back(1.0 - std::ldexp(1.0, -k));  // q = 2^-k
+  for (int i = 0; i < 200; ++i) ps.push_back(draw_high_p(meta));
+  for (const double p : ps) {
+    const std::vector<double> t = gap_thresholds(p);
+    for (std::size_t n = 0; n < t.size(); ++n) {
+      SCOPED_TRACE(::testing::Message() << std::hexfloat << "p=" << p << " n=" << n + 1);
+      // A few steps either side of the threshold: ulps of t, and for
+      // thresholds on the uniform's 2^-53 grid, grid steps too.
+      double up = t[n];
+      double down = t[n];
+      for (int step = 0; step <= 4; ++step) {
+        EXPECT_EQ(Rng::geometric_gap_by_threshold(p, up), 0u) << std::hexfloat << up;
+        EXPECT_EQ(Rng::geometric_gap_by_threshold(p, down), 0u) << std::hexfloat << down;
+        up = std::nextafter(up, 2.0);
+        down = std::nextafter(down, 0.0);
+        const double grid = std::ldexp(std::floor(std::ldexp(t[n], 53)) + step - 2, -53);
+        if (grid > 0.0 && t[n] >= 0x1.0p-20) {
+          EXPECT_EQ(Rng::geometric_gap_by_threshold(p, grid), 0u) << std::hexfloat << grid;
+        }
+      }
+      // The band is closed: both edges are undecided.
+      const double hi = t[n] * (1.0 + Rng::kGapGuard);
+      const double lo = t[n] * (1.0 - Rng::kGapGuard);
+      EXPECT_EQ(Rng::geometric_gap_by_threshold(p, hi), 0u) << std::hexfloat << hi;
+      EXPECT_EQ(Rng::geometric_gap_by_threshold(p, lo), 0u) << std::hexfloat << lo;
+      // Just outside: decided and equal to the log formula, except below
+      // the last band, where the gap exceeds 4.
+      for (const double u : {std::nextafter(hi, 2.0), std::nextafter(lo, 0.0)}) {
+        const std::uint64_t g = Rng::geometric_gap_by_threshold(p, u);
+        if (n == t.size() - 1 && u < lo) {
+          EXPECT_EQ(g, 0u) << std::hexfloat << u;
+        } else {
+          EXPECT_EQ(g, log_formula_gap(p, u)) << std::hexfloat << u;
+          EXPECT_EQ(g, u > hi ? n + 1 : n + 2) << std::hexfloat << u;
+        }
+      }
+    }
+  }
+}
+
+TEST(GeometricGapThreshold, EdgeInputs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double u : {1.0, 0.5, 0x1.0p-53, 0.3}) {
+    // Only p in [1/2, 1) takes the threshold stage.
+    for (const double p : {nan, 0.0, 0.25, std::nextafter(0.5, 0.0), 1.0, 1.5}) {
+      EXPECT_EQ(Rng::geometric_gap_by_threshold(p, u), 0u) << "p=" << p << " u=" << u;
+    }
+  }
+  // u = 1 (the uniform's top) is a gap of 1 for every p in the range.
+  for (const double p : {0.5, 0.6, 0.99, std::nextafter(1.0, 0.0)}) {
+    EXPECT_EQ(Rng::geometric_gap_by_threshold(p, 1.0), 1u) << p;
+    EXPECT_EQ(log_formula_gap(p, 1.0), 1u) << p;
+  }
+  // p = 1/2: the thresholds 2^-n are on the grid; u = 2^-n is undecided,
+  // and u just outside its band is decided as the log formula decides
+  // (below 2^-4 the gap is 5: undecided).
+  for (std::uint64_t n = 1; n <= 4; ++n) {
+    const double t = std::ldexp(1.0, -static_cast<int>(n));
+    EXPECT_EQ(Rng::geometric_gap_by_threshold(0.5, t), 0u) << n;
+    EXPECT_EQ(Rng::geometric_gap_by_threshold(0.5, t + 0x1.0p-20), n);
+    EXPECT_EQ(log_formula_gap(0.5, t + 0x1.0p-20), n);
+    EXPECT_EQ(Rng::geometric_gap_by_threshold(0.5, t - 0x1.0p-20), n < 4 ? n + 1 : 0);
+    EXPECT_EQ(log_formula_gap(0.5, t - 0x1.0p-20), n + 1);
+  }
+  // The largest p below 1: q = 2^-53, so every grid point above the
+  // smallest is a gap of 1, and the smallest (= q) is undecided.
+  const double p_top = std::nextafter(1.0, 0.0);
+  EXPECT_EQ(Rng::geometric_gap_by_threshold(p_top, 0x1.0p-53), 0u);
+  EXPECT_EQ(Rng::geometric_gap_by_threshold(p_top, 0x1.0p-52), 1u);
+  EXPECT_EQ(log_formula_gap(p_top, 0x1.0p-52), 1u);
 }
 
 TEST(Poisson, MeanAndZeroRate) {
   Rng rng(23);
   EXPECT_EQ(rng.poisson(0.0), 0u);
   EXPECT_EQ(rng.poisson(-1.0), 0u);
+  // A count beyond 2^64 saturates instead of an out-of-range cast (UB;
+  // a zero result spins PoissonArrivals' positive-count loop forever).
+  EXPECT_EQ(rng.poisson(1e20), std::numeric_limits<std::uint64_t>::max());
   for (double mean : {0.5, 4.0, 100.0}) {
     double sum = 0.0;
     const int n = 50000;
@@ -456,6 +585,13 @@ TEST(CounterRngBatch, CountSpanEdgeProbabilities) {
   EXPECT_EQ(rng.count_bernoulli_span(0, 999, 2.0, 300), 300u);  // cap on always-jam
   EXPECT_EQ(rng.count_bernoulli_span(10, 9, 0.5), 0u);          // empty span
   EXPECT_EQ(rng.count_bernoulli_span(42, 42, 0.5), rng.bernoulli(42, 0.5) ? 1u : 0u);
+  // NaN never succeeds, as in bernoulli: on the inline loop and on the
+  // threshold path of spans longer than kInlineSpan.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(rng.bernoulli(7, nan));
+  EXPECT_EQ(CounterRng::bernoulli_threshold(nan), 0u);
+  EXPECT_EQ(rng.count_bernoulli_span(0, CounterRng::kInlineSpan - 1, nan), 0u);
+  EXPECT_EQ(rng.count_bernoulli_span(0, 999, nan), 0u);
 }
 
 TEST(CounterRngBatch, BernoulliThresholdReproducesTheDoubleCompare) {

@@ -169,20 +169,21 @@ TEST(ScenarioPackReject, MalformedJammerSpec) {
 // an error — not a truncation ("batch:1e3" -> 1 packet), a wrap
 // ("batch:-1" -> 2^64-1 packets), or a prefix ("random:0.3x" -> 0.3).
 // Values the constructors reject are errors at parse time too, not an
-// exception when the run starts. An empty argument (a trailing comma) is
-// an error, not a missing optional one.
+// exception when the run starts; NaN and infinite values among them. An
+// empty argument (a trailing comma) is an error, not a missing optional one.
 const char* const kBadArrivals[] = {
     "batch:1e3",           "batch:-1",           "batch:+5",
     "batch: 5",            "poisson:0.05x,100",  "poisson:0.05,1e2",
     "aqt:0.5,8x,front,10", "aqt:0.5,8,front,-1", "batch:18446744073709551616",
     "poisson:0,100",       "aqt:2,8,front,10",   "aqt:0.5,1,front,10",
-    "batch:8,",
+    "batch:8,",            "poisson:inf,10",
 };
 const char* const kBadJammers[] = {
     "random:0.3x",  "random:0.3,-1", "random: 0.3", "burst:10,2.5",
     "victim:1e2,5", "blanket:-3",    "band:0,1x,5", "randband:0,1,0.5,10,0.1z",
     "randband:0,1,0.5,1.5", "random:1.5", "band:2,1,5", "random:0.3,",
-    "randband:0.1,0.5,0.3,,",
+    "randband:0.1,0.5,0.3,,", "random:nan", "band:0,nan,5", "randband:0,nan,0.5",
+    "randband:0,1,nan",
 };
 
 TEST(SpecNumbers, SpecParsersRejectLooseNumbersAndBadValues) {

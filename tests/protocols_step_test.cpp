@@ -237,6 +237,109 @@ TEST(ProtocolStep, LowSensingWindowFollowsFigureOneBitForBit) {
   }
 }
 
+/// Fig. 1 and the gap with nothing skipped: the factor on every
+/// back-on/back-off (floored windows included), ln(1 - p) at every step,
+/// and every gap by the log formula.
+struct LowSensingReference {
+  LowSensingParams params;
+  double w = params.w_min;
+  double listen = 0.0;
+  double send_given = 0.0;
+
+  explicit LowSensingReference(const LowSensingParams& p) : params(p) { refresh(); }
+
+  void refresh() {
+    const double ln_w = std::log(w);
+    double b = 1.0;
+    for (int i = 0; i < params.listen_exponent; ++i) b *= ln_w;
+    const double boost = params.c * std::max(b, 1.0);
+    listen = std::min(boost / w, 1.0);
+    send_given = std::min(1.0 / boost, 1.0);
+  }
+
+  ProtocolStep step(Feedback fb, Rng& rng) {
+    const double factor = 1.0 + 1.0 / (params.c * std::max(std::log(w), 1.0));
+    if (fb == Feedback::kEmpty) {
+      w /= factor;
+      if (params.backon_floor) w = std::max(w, params.w_min);
+      w = std::max(w, 2.0);
+    } else if (fb == Feedback::kNoisy) {
+      w *= factor;
+    }
+    refresh();
+    const double log1m = std::log1p(-listen);
+    ProtocolStep out{w, listen * send_given, send_given, 1};
+    if (listen < 1.0) {
+      const double g = std::ceil(std::log(rng.next_double_pos()) / log1m);
+      out.gap = g < 1.0 ? 1 : static_cast<std::uint64_t>(g);
+    }
+    return out;
+  }
+};
+
+TEST(ProtocolStep, LowSensingFloorRegimeMatchesTheUnskippedReference) {
+  // Long mixed-feedback runs at or near w_min, where the floor
+  // short-circuit skips the factor and the threshold stage skips the
+  // logs: the chunked step_batch and the default step (whose draw_gap a
+  // wrapper calls) against the reference. Phases lean to silence (the
+  // floor) or to noise (windows up past listen = 1/2, and back).
+  for (const bool floor : {true, false}) {
+    LowSensingParams params;
+    params.backon_floor = floor;
+    const LowSensingFactory factory(params);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{33}}) {
+      SCOPED_TRACE(std::string(floor ? "floor" : "no floor") + ", batch of " + std::to_string(n));
+      std::vector<std::unique_ptr<Protocol>> batched;
+      std::vector<std::unique_ptr<Protocol>> plain;
+      std::vector<LowSensingReference> refs;
+      std::vector<Rng> batched_rngs;
+      std::vector<Rng> plain_rngs;
+      std::vector<Rng> ref_rngs;
+      for (std::size_t k = 0; k < n; ++k) {
+        batched.push_back(factory.create());
+        plain.push_back(factory.create());
+        refs.emplace_back(params);
+        batched_rngs.push_back(Rng::stream(29, k));
+        plain_rngs.push_back(Rng::stream(29, k));
+        ref_rngs.push_back(Rng::stream(29, k));
+      }
+      Rng feedback(0xf100 + n);
+      std::vector<StepItem> items(n);
+      std::uint64_t floored = 0;  // at w_min, or under it without the floor
+      std::uint64_t low_listen = 0;
+      std::uint64_t high_listen = 0;
+      for (int round = 0; round < 4000; ++round) {
+        const std::uint64_t noisy_pct = (round / 50) % 4 == 3 ? 55 : 20;
+        for (std::size_t k = 0; k < n; ++k) {
+          const std::uint64_t roll = feedback.next_below(100);
+          const Feedback fb = roll < noisy_pct         ? Feedback::kNoisy
+                              : roll < noisy_pct + 15 ? Feedback::kSuccess
+                                                       : Feedback::kEmpty;
+          items[k] = StepItem{batched[k].get(), &batched_rngs[k], Observation{fb, false}, {}};
+        }
+        factory.step_batch(items);
+        for (std::size_t k = 0; k < n; ++k) {
+          const std::string where = "round " + std::to_string(round) + " item " + std::to_string(k);
+          const ProtocolStep want = refs[k].step(items[k].obs.feedback, ref_rngs[k]);
+          ProtocolStep got;
+          plain[k]->Protocol::step(items[k].obs, plain_rngs[k], &got);
+          expect_bit_equal(items[k].out, want, where);
+          expect_bit_equal(got, want, where);
+          EXPECT_EQ(peek(batched_rngs[k]), peek(ref_rngs[k])) << where;
+          EXPECT_EQ(peek(plain_rngs[k]), peek(ref_rngs[k])) << where;
+          if (::testing::Test::HasFailure()) return;
+          floored += want.window <= params.w_min;
+          (refs[k].listen < 0.5 ? low_listen : high_listen) += 1;
+        }
+      }
+      // Both sides of listen = 1/2, and the floor itself, were exercised.
+      EXPECT_GT(floored, 0u);
+      EXPECT_GT(low_listen, 0u);
+      EXPECT_GT(high_listen, 0u);
+    }
+  }
+}
+
 TEST(ProtocolStep, BuiltinStepBatchRejectsForeignObjectsInDebugBuilds) {
 #ifdef NDEBUG
   GTEST_SKIP() << "the dynamic-type check is compiled out with NDEBUG";
